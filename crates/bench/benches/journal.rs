@@ -12,7 +12,7 @@
 //! wall-clock ratio, so both write-path regressions and any return to
 //! per-commit fsyncing are visible.
 //!
-//! Like the criterion-shim benches, the binary is inert without the
+//! Like the other benches, the binary is inert without the
 //! `--bench` argument `cargo bench` passes. The output path defaults to
 //! `<repo root>/BENCH_journal.json` and can be overridden with
 //! `ALS_BENCH_OUT`.

@@ -121,10 +121,16 @@ impl ExpArgs {
                 }
             }
         }
-        if out.patterns == 0 {
-            out.patterns = if out.full { 8192 } else { 2048 };
+        out.resolve()
+    }
+
+    /// Fills the defaults that depend on other flags: an unset (zero)
+    /// pattern count becomes 8192 with `--full`, else 2048.
+    pub fn resolve(mut self) -> ExpArgs {
+        if self.patterns == 0 {
+            self.patterns = if self.full { 8192 } else { 2048 };
         }
-        out
+        self
     }
 
     /// The benchmark scale implied by `--full`.
@@ -204,8 +210,8 @@ pub fn adp_ratio_of(result: &FlowResult, original: &Aig) -> f64 {
     als_map::adp_ratio(&result.circuit, original, &CellLibrary::new())
 }
 
-/// Runs a flow and prints a one-line summary row; returns
-/// `(adp_ratio, runtime_seconds)`.
+/// Runs a flow (panicking if it fails); returns
+/// `(result, adp_ratio, runtime_seconds)`.
 pub fn run_and_report(flow: &dyn Flow, original: &Aig) -> (FlowResult, f64, f64) {
     let res = flow.run(original).expect("flow failed");
     let ratio = adp_ratio_of(&res, original);
@@ -237,13 +243,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_args_resolve_patterns() {
-        let a = ExpArgs::default();
-        assert_eq!(a.patterns, 0);
-        // parse() resolves, but we can't call it here (reads process args);
-        // emulate the resolution rule:
-        let patterns = if a.full { 8192 } else { 2048 };
-        assert_eq!(patterns, 2048);
+    fn resolve_fills_the_pattern_count_by_scale() {
+        assert_eq!(ExpArgs::default().patterns, 0);
+        assert_eq!(ExpArgs::default().resolve().patterns, 2048);
+        assert_eq!(ExpArgs { full: true, ..ExpArgs::default() }.resolve().patterns, 8192);
+        let explicit = ExpArgs { full: true, patterns: 512, ..ExpArgs::default() };
+        assert_eq!(explicit.resolve().patterns, 512);
     }
 
     #[test]

@@ -54,6 +54,12 @@ impl fmt::Display for CpmError {
 
 impl std::error::Error for CpmError {}
 
+impl From<als_par::WorkerPanic> for CpmError {
+    fn from(p: als_par::WorkerPanic) -> CpmError {
+        CpmError::WorkerPanic(p.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

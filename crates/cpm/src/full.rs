@@ -2,7 +2,7 @@
 
 use als_aig::{Aig, NodeId};
 use als_cuts::{CutMember, CutState, DisjointCut};
-use als_par::{RegionHandle, RegionSpec, WorkerPool, WorkerScratch};
+use als_par::{Region, WorkerPool};
 use als_sim::Simulator;
 
 use crate::error::CpmError;
@@ -92,10 +92,10 @@ pub fn compute_for_set(
 /// caches the full-sweep schedule ([`CutState::full_plan`]), so the
 /// per-iteration sweep starts filling rows immediately. Per wave the
 /// pool's scheduler decides serial vs parallel; parallel waves fan out
-/// across workers — each with its own persistent [`FlipSim`]/[`RowData`]
-/// scratch, reused across waves — and the rows are installed after the
-/// join. Chunk-ordered joins and the pure row computation make the result
-/// byte-identical to the serial sweep at any thread count.
+/// across workers — each with its own [`FlipSim`]/[`RowData`] scratch —
+/// and the rows are installed after the join. Chunk-ordered joins and the
+/// pure row computation make the result byte-identical to the serial
+/// sweep at any thread count.
 pub fn compute_for_set_with(
     aig: &Aig,
     sim: &Simulator,
@@ -162,67 +162,46 @@ pub fn compute_for_nodes_with(
 
 /// Per-sweep scratch and scheduling for filling one wave at a time:
 /// serial waves write rows straight from one reused scratch buffer (zero
-/// steady-state allocation), parallel waves fan out with per-worker
-/// scratch persisted across waves.
+/// steady-state allocation), parallel waves fan out with one scratch per
+/// worker.
 struct WaveFill<'a> {
     aig: &'a Aig,
     sim: &'a Simulator,
     cuts: &'a CutState,
     pool: &'a WorkerPool,
-    region: RegionHandle,
+    region: Region,
     serial: Option<(FlipSim, RowData)>,
-    store: WorkerScratch<(FlipSim, RowData)>,
 }
 
 impl<'a> WaveFill<'a> {
     fn new(aig: &'a Aig, sim: &'a Simulator, cuts: &'a CutState, pool: &'a WorkerPool) -> Self {
-        WaveFill {
-            aig,
-            sim,
-            cuts,
-            pool,
-            region: pool.region(RegionSpec::weighted("cpm_wave", sim.num_words() as u64)),
-            serial: None,
-            store: WorkerScratch::new(),
-        }
+        let region = pool.region("cpm_wave", sim.num_words() as u64);
+        WaveFill { aig, sim, cuts, pool, region, serial: None }
     }
 
     fn fill(&mut self, cpm: &mut Cpm, wave: &[NodeId]) -> Result<(), CpmError> {
         let (aig, sim, cuts) = (self.aig, self.sim, self.cuts);
-        if self.pool.is_serial() || !self.pool.decide_region(&self.region, wave.len()) {
-            let learn = self.pool.should_learn_region(&self.region, wave.len());
-            let t0 = learn.then(std::time::Instant::now);
-            let (flipsim, row) = self.serial.get_or_insert_with(|| {
-                (FlipSim::new(aig.num_nodes(), sim.num_words()), RowData::new(sim.num_words()))
-            });
-            for &n in wave {
-                let cut = cuts.get_cut(n).ok_or(CpmError::MissingCut { node: n })?;
-                row_from_cut(aig, sim, cuts, flipsim, cpm, n, cut, row)?;
-                cpm.set_row(n, row);
-            }
-            if let Some(t0) = t0 {
-                self.pool.observe_serial_region(&self.region, wave.len(), t0.elapsed());
-            }
-            return Ok(());
-        }
-        let shared = &*cpm;
-        let mut rows = self
-            .pool
-            .try_map_parallel_hybrid_in(
-                self.region.spec(),
-                wave,
-                &mut self.store,
-                || (FlipSim::new(aig.num_nodes(), sim.num_words()), RowData::new(sim.num_words())),
-                || (),
-                |(flipsim, row), _, &n| {
+        let scratch =
+            || (FlipSim::new(aig.num_nodes(), sim.num_words()), RowData::new(sim.num_words()));
+        let Some(fanout) = self.pool.fan_out(&self.region, wave.len()) else {
+            let (flipsim, row) = self.serial.get_or_insert_with(scratch);
+            return self.pool.inline(&self.region, wave.len(), || {
+                for &n in wave {
                     let cut = cuts.get_cut(n).ok_or(CpmError::MissingCut { node: n })?;
-                    row_from_cut(aig, sim, cuts, flipsim, shared, n, cut, row)?;
-                    // hand an owned buffer back to the join; the scratch
-                    // buffer restarts empty for the next item
-                    Ok(std::mem::replace(row, RowData::new(sim.num_words())))
-                },
-            )
-            .map_err(|p| CpmError::WorkerPanic(p.0))??;
+                    row_from_cut(aig, sim, cuts, flipsim, cpm, n, cut, row)?;
+                    cpm.set_row(n, row);
+                }
+                Ok(())
+            });
+        };
+        let shared = &*cpm;
+        let mut rows = fanout.map(wave, scratch, |(flipsim, row), &n| {
+            let cut = cuts.get_cut(n).ok_or(CpmError::MissingCut { node: n })?;
+            row_from_cut(aig, sim, cuts, flipsim, shared, n, cut, row)?;
+            // hand an owned buffer back to the join; the scratch buffer
+            // restarts empty for the next item
+            Ok::<_, CpmError>(std::mem::replace(row, RowData::new(sim.num_words())))
+        })?;
         for (&n, row) in wave.iter().zip(rows.iter_mut()) {
             cpm.set_row(n, row);
         }

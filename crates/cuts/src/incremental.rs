@@ -150,8 +150,12 @@ impl CutState {
         let reach = ReachMap::compute(aig);
         let ranks = als_aig::topo::topo_ranks(aig);
         let live: Vec<NodeId> = aig.iter_live().collect();
-        let computed =
-            pool.map_in("cuts", &live, |&id| closest_disjoint_cut(aig, &reach, &ranks, id))?;
+        let computed = pool.map(
+            &pool.region("cuts", 1),
+            &live,
+            || (),
+            |(), &id| Ok::<_, WorkerPanic>(closest_disjoint_cut(aig, &reach, &ranks, id)),
+        )?;
         let mut cuts = vec![None; aig.num_nodes()];
         for (&id, cut) in live.iter().zip(computed) {
             cuts[id.index()] = Some(cut);

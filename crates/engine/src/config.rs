@@ -129,12 +129,12 @@ pub struct FlowConfig {
     /// waves, simulation waves and batch error estimation all fan out over
     /// it (the paper uses 16 for its Table II runs; 1 = serial).
     pub threads: usize,
-    /// Adaptive-scheduler settings of the shared pool: serial/parallel
-    /// cutover, chunk sizing and work stealing. Defaults to the
-    /// `ALS_SCHED` environment variable (adaptive when unset). Like
-    /// `threads`, scheduling never affects result bytes — only where and
-    /// in what grain the work runs — so it is excluded from journal
-    /// fingerprints and a run may be resumed under a different scheduler.
+    /// Scheduling mode of the shared pool: the adaptive serial/parallel
+    /// cutover, or forced fan-out when the `ALS_SCHED` environment
+    /// variable says `force` (a test aid). Like `threads`, scheduling
+    /// never affects result bytes — only where and in what grain the work
+    /// runs — so it is excluded from journal fingerprints and a run may be
+    /// resumed under a different scheduler.
     pub sched: als_par::SchedConfig,
     /// Fold trivially-constant gates after each applied LAC (an exact
     /// transformation ABC would perform before mapping; keeps reported
@@ -253,7 +253,7 @@ impl FlowConfig {
         self
     }
 
-    /// Replaces the adaptive-scheduler settings of the shared pool,
+    /// Replaces the scheduling configuration of the shared pool,
     /// overriding the `ALS_SCHED` default.
     pub fn with_sched(mut self, sched: als_par::SchedConfig) -> FlowConfig {
         self.sched = sched;
@@ -517,12 +517,6 @@ impl FlowConfigBuilder {
     /// Sets the worker-thread budget.
     pub fn threads(mut self, threads: usize) -> FlowConfigBuilder {
         self.cfg.threads = threads.max(1);
-        self
-    }
-
-    /// Replaces the adaptive-scheduler settings of the shared pool.
-    pub fn sched(mut self, sched: als_par::SchedConfig) -> FlowConfigBuilder {
-        self.cfg.sched = sched;
         self
     }
 

@@ -8,7 +8,7 @@ use als_cpm::{Cpm, FlipSim};
 use als_error::{unsigned_weights, ErrorState, FlipVec, SparseFlip};
 use als_lac::Lac;
 use als_obs::{Counter, Histogram, Obs};
-use als_par::{RegionSpec, SchedConfig, WorkerPool, WorkerScratch};
+use als_par::{SchedConfig, WorkerPool};
 use als_sim::{PackedBits, PatternSet, Simulator};
 
 use crate::config::FlowConfig;
@@ -179,12 +179,6 @@ pub struct Ctx {
     obs: Obs,
     /// Shared worker pool for every parallel analysis region.
     pool: WorkerPool,
-    /// Scheduling configuration the pool was built from (kept so the
-    /// degradation ladder can rebuild a serial pool under the same mode).
-    sched: SchedConfig,
-    /// Per-worker change-vector buffers that persist across LAC
-    /// evaluations (slot `i` serves worker `i` of every eval region).
-    eval_scratch: WorkerScratch<PackedBits>,
     /// Reusable output-value buffers for error-state refreshes.
     outs: Vec<PackedBits>,
     /// Fold constants after each applied LAC.
@@ -261,8 +255,6 @@ impl Ctx {
             metrics: EngineMetrics::register(&cfg.obs),
             obs: cfg.obs.clone(),
             pool,
-            sched: cfg.sched.clone(),
-            eval_scratch: WorkerScratch::new(),
             outs: Vec::new(),
             fold_constants: cfg.fold_constants,
             #[cfg(feature = "fault-inject")]
@@ -286,7 +278,8 @@ impl Ctx {
         if self.pool.threads() <= 1 {
             return false;
         }
-        self.pool = WorkerPool::with_config(1, self.sched.clone()).with_obs(&self.obs);
+        // A 1-thread pool never consults its scheduling mode.
+        self.pool = WorkerPool::with_config(1, SchedConfig::default()).with_obs(&self.obs);
         true
     }
 
@@ -405,28 +398,24 @@ impl Ctx {
         self.metrics.dedup_hits.add(classes.hits() as u64);
         self.metrics.dedup_reps.add(classes.num_classes() as u64);
 
-        // Parallel evaluation of one representative per class. The
-        // change-vector buffers persist in `eval_scratch` across calls
-        // (this region runs once per analysis round), so steady state
-        // allocates only the per-call flip views, which borrow `cpm`.
+        // Parallel evaluation of one representative per class, with one
+        // change-vector buffer and flip-view list per worker per call (the
+        // flip views borrow `cpm`).
         let reps: Vec<Lac> = classes.reps().iter().map(|&i| lacs[i]).collect();
         #[cfg(feature = "fault-inject")]
         let faults = &self.faults;
         let out = self
             .pool
-            .map_hybrid_in(
-                RegionSpec::weighted("eval", num_words as u64),
+            .map(
+                &self.pool.region("eval", num_words as u64),
                 &reps,
-                &mut self.eval_scratch,
-                || PackedBits::zeros(num_words),
-                Vec::new,
-                |d, flips, lac| {
+                || (PackedBits::zeros(num_words), Vec::new()),
+                |(d, flips), lac| {
                     #[cfg(feature = "fault-inject")]
                     faults.tick_eval_item();
-                    eval_one(aig, sim, state, cpm, lac, d, flips)
+                    Ok(eval_one(aig, sim, state, cpm, lac, d, flips))
                 },
             )
-            .map_err(crate::error::EngineError::from)
             .map(|rep_evals: Vec<Option<Evaluated>>| {
                 // Broadcast each class result back to every member, in the
                 // original candidate order.

@@ -5,7 +5,7 @@
 //! to each carry their own `match` over flow-name strings; they all
 //! dispatch through [`by_name`] now, so adding a flow means touching this
 //! file once. [`FlowName`] is the typed form of that selection — front
-//! ends parse user input into it once (via [`FromStr`](std::str::FromStr))
+//! ends parse user input into it once (via [`FromStr`])
 //! and everything downstream matches exhaustively instead of comparing
 //! strings. [`by_name`] accepts either a `FlowName` or a raw `&str` (which
 //! it parses), so string-keyed contexts like journal headers keep working.

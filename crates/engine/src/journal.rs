@@ -115,8 +115,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Fingerprint of every configuration field that influences the run's
 /// *results*. Threads and the scheduler settings are deliberately
 /// excluded — runs are byte-identical at any thread count under any
-/// scheduling mode, so a 1-thread journal may resume on 4 threads with a
-/// different `ALS_SCHED` — as are the journal settings themselves and the
+/// scheduling mode, so a 1-thread journal may resume on 4 threads under
+/// `ALS_SCHED=force` — as are the journal settings themselves and the
 /// fault-injection plan.
 pub fn config_fingerprint(cfg: &FlowConfig, flow: &str) -> u64 {
     let mut e = Enc::new();

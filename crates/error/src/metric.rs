@@ -34,7 +34,8 @@ impl fmt::Display for MetricKind {
     }
 }
 
-/// A metric token [`MetricKind::from_str`] did not recognise.
+/// A metric token [`MetricKind`]'s [`FromStr`](std::str::FromStr) impl did not
+/// recognise.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnknownMetric {
     /// The rejected token.
@@ -51,7 +52,8 @@ impl std::error::Error for UnknownMetric {}
 
 impl MetricKind {
     /// The canonical lowercase token (`er`/`med`/`mse`) used by the CLI
-    /// and the service wire protocol; [`MetricKind::from_str`] inverts it.
+    /// and the service wire protocol; parsing it back
+    /// ([`FromStr`](std::str::FromStr)) inverts it.
     pub fn token(self) -> &'static str {
         match self {
             MetricKind::Er => "er",

@@ -1,11 +1,10 @@
-//! Adaptive serial/parallel scheduling for [`WorkerPool`](crate::WorkerPool)
+//! Adaptive serial/parallel cutover for [`WorkerPool`](crate::WorkerPool)
 //! regions.
 //!
-//! The fixed-grain pool split every map into `threads` equal chunks and
-//! fanned out whenever `len >= 4 * threads`. On real circuits that *costs*
-//! time: a simulation wave of a few hundred ~100ns gates finishes long
-//! before the spawn cost of even one scoped thread is paid back. This
-//! module replaces the fixed threshold with a measured model:
+//! A fixed grain (`len >= 4 * threads`, `len / threads` chunks) *costs*
+//! time on real circuits: a simulation wave of a few hundred ~100ns gates
+//! finishes long before the spawn cost of even one scoped thread is paid
+//! back. The pool therefore decides per region from a measured model:
 //!
 //! * **Calibration** — a one-time probe times empty scoped spawns and reads
 //!   the hardware thread count. It runs once per process (`OnceLock`) and
@@ -19,20 +18,19 @@
 //!   an exponential moving average.
 //! * **Cutover** — a region runs parallel only when its predicted serial
 //!   time exceeds the predicted parallel time (spawn cost × workers +
-//!   serial ÷ workers) by a safety margin. Sub-threshold regions run
-//!   inline with zero pool traffic; a hard minimum-items guard and a
-//!   minimum-serial-time floor keep sub-millisecond regions serial no
+//!   serial ÷ workers) by a safety margin. A hard minimum-items guard and
+//!   a minimum-serial-time floor keep sub-millisecond regions serial no
 //!   matter what the model says.
 //! * **Level-scaled chunking** — parallel regions are split into chunks
-//!   sized so each carries roughly `chunk_target_us` of predicted work
+//!   sized so each carries roughly [`CHUNK_TARGET_NS`] of predicted work
 //!   (bounded to `[workers, 8 × workers]` chunks), instead of `len /
-//!   threads`. More chunks than workers is what makes whole-chunk stealing
-//!   (see `crate::WorkerPool`) able to rebalance stragglers.
+//!   threads`. More chunks than workers is what lets whole-chunk stealing
+//!   rebalance stragglers.
 //!
-//! Scheduling decisions never affect result bytes — only which thread
-//! computes them and in what grouping — so the pool's determinism
-//! guarantee (chunk-ordered joins) is preserved under every mode, model
-//! state and steal schedule.
+//! The floors and the chunk target are constants, not options: no
+//! benchmark workload ever ran another value, and scheduling never
+//! affects result bytes — only which thread computes them and in what
+//! grouping — so there is no output reason to vary them either.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,11 +43,6 @@ pub enum SchedMode {
     /// Cost-model-driven cutover with level-scaled chunks and stealing.
     #[default]
     Adaptive,
-    /// The legacy fixed-grain policy: parallel iff `len >= 4 * threads`,
-    /// `len / threads` equal chunks, no stealing, no timing.
-    Off,
-    /// Every region runs on the caller's thread regardless of size.
-    Serial,
     /// Every region with ≥ 2 items fans out (testing aid: exercises the
     /// parallel path and stealing even where the model would cut to
     /// serial, e.g. on a single-core host).
@@ -93,132 +86,84 @@ impl Calibration {
     }
 }
 
-/// Tuning knobs for the adaptive scheduler. Constructed from the
-/// `ALS_SCHED` environment variable by [`SchedConfig::from_env`] (the
-/// default used by `WorkerPool::new`), or explicitly for tests and
-/// embedders via `FlowConfig`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Scheduling configuration of a pool: the decision policy plus an
+/// optional fixed calibration.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Decision policy.
     pub mode: SchedMode,
-    /// Regions below this many items never fan out (hard guard, applied
-    /// before the model runs).
-    pub min_items: usize,
-    /// Regions whose predicted serial time is below this floor never fan
-    /// out (keeps sub-millisecond regions — the 30× sim regression — on
-    /// the caller's thread).
-    pub min_serial_us: u64,
-    /// Target predicted work per chunk; smaller values mean more chunks
-    /// and finer stealing granularity.
-    pub chunk_target_us: u64,
-    /// Whether idle workers steal whole chunks from stragglers.
-    pub steal: bool,
     /// Fixed calibration, bypassing the one-time probe. `None` (the
     /// default) probes lazily on first use.
     pub calibration: Option<Calibration>,
 }
 
-impl Default for SchedConfig {
-    fn default() -> SchedConfig {
-        SchedConfig {
-            mode: SchedMode::Adaptive,
-            min_items: 16,
-            min_serial_us: 200,
-            chunk_target_us: 100,
-            steal: true,
-            calibration: None,
-        }
-    }
-}
-
 impl SchedConfig {
-    /// Reads the `ALS_SCHED` environment variable. The value is a
-    /// comma-separated token list; unknown tokens are ignored so stale
-    /// environments cannot break a run:
-    ///
-    /// * `adaptive` / `on` — cost-model cutover (default)
-    /// * `off` — legacy fixed-grain policy
-    /// * `serial` — never fan out
-    /// * `force` — always fan out (testing)
-    /// * `steal=0|1`, `min_items=N`, `min_serial_us=N`, `chunk_us=N`
+    /// Adaptive, unless the comma-separated `ALS_SCHED` environment
+    /// variable contains the token `force` (a test aid that drives every
+    /// region through the parallel path). Other tokens are ignored so a
+    /// stale environment cannot break a run.
     pub fn from_env() -> SchedConfig {
-        match std::env::var("ALS_SCHED") {
-            Ok(v) => SchedConfig::parse(&v),
-            Err(_) => SchedConfig::default(),
+        SchedConfig::from_spec(&std::env::var("ALS_SCHED").unwrap_or_default())
+    }
+
+    fn from_spec(spec: &str) -> SchedConfig {
+        if spec.split(',').any(|token| token.trim() == "force") {
+            SchedConfig::forced()
+        } else {
+            SchedConfig::default()
         }
     }
 
-    /// Parses an `ALS_SCHED`-style token list (see [`SchedConfig::from_env`]).
-    pub fn parse(spec: &str) -> SchedConfig {
-        let mut cfg = SchedConfig::default();
-        for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match token.split_once('=') {
-                None => match token {
-                    "adaptive" | "on" => cfg.mode = SchedMode::Adaptive,
-                    "off" => cfg.mode = SchedMode::Off,
-                    "serial" => cfg.mode = SchedMode::Serial,
-                    "force" => cfg.mode = SchedMode::Force,
-                    _ => {}
-                },
-                Some((key, val)) => match (key.trim(), val.trim()) {
-                    ("steal", v) => cfg.steal = v != "0",
-                    ("min_items", v) => {
-                        if let Ok(n) = v.parse() {
-                            cfg.min_items = n;
-                        }
-                    }
-                    ("min_serial_us", v) => {
-                        if let Ok(n) = v.parse() {
-                            cfg.min_serial_us = n;
-                        }
-                    }
-                    ("chunk_us", v) => {
-                        if let Ok(n) = v.parse() {
-                            cfg.chunk_target_us = n;
-                        }
-                    }
-                    _ => {}
-                },
-            }
-        }
-        cfg
-    }
-
-    /// The legacy fixed-grain policy (`ALS_SCHED=off`).
-    pub fn legacy() -> SchedConfig {
-        SchedConfig { mode: SchedMode::Off, ..SchedConfig::default() }
-    }
-
-    /// Always fan out (`ALS_SCHED=force`), stealing enabled. Used by tests
-    /// that must exercise the parallel path regardless of host parallelism.
+    /// Always fan out (`ALS_SCHED=force`). Used by tests that must
+    /// exercise the parallel path regardless of host parallelism.
     pub fn forced() -> SchedConfig {
-        SchedConfig { mode: SchedMode::Force, ..SchedConfig::default() }
+        SchedConfig { mode: SchedMode::Force, calibration: None }
     }
 
     /// Adaptive mode with a fixed calibration — fully deterministic
     /// decisions given identical observation sequences.
     pub fn with_calibration(cal: Calibration) -> SchedConfig {
-        SchedConfig { calibration: Some(cal), ..SchedConfig::default() }
+        SchedConfig { mode: SchedMode::Adaptive, calibration: Some(cal) }
     }
 }
 
+/// Regions below this many items never fan out (hard guard, applied
+/// before the model runs).
+pub(crate) const MIN_ITEMS: usize = 16;
+
+/// Regions whose predicted serial time is below this floor never fan out
+/// (keeps sub-millisecond regions — the 30× sim regression — on the
+/// caller's thread).
+pub(crate) const MIN_SERIAL_NS: f64 = 200_000.0;
+
+/// Target predicted work per chunk: small enough for stealing to
+/// rebalance, large enough that the per-chunk claim is noise.
+pub(crate) const CHUNK_TARGET_NS: f64 = 100_000.0;
+
+/// Inline spans predicted shorter than this are not worth the two
+/// `Instant` reads it takes to learn from them (the reads are ~2% of a
+/// 20µs span and shrink from there).
+pub(crate) const LEARN_MIN_NS: f64 = 20_000.0;
+
+/// Safety margin: predicted serial time must beat predicted parallel time
+/// by 15% before a region fans out, so model noise near the break-even
+/// point resolves to the cheap (serial) side.
+const CUTOVER_MARGIN: f64 = 1.15;
+
+/// Upper bound on chunks per worker: enough slack for stealing to
+/// rebalance stragglers without drowning in per-chunk overhead.
+const MAX_CHUNKS_PER_WORKER: usize = 8;
+
 /// The outcome of one cutover decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Decision {
+pub(crate) enum Decision {
     /// Fan out across workers.
     Parallel,
-    /// The model predicts serial is faster (or the pool is serial).
+    /// The model predicts serial is faster.
     Serial,
     /// A hard guard (min items / min serial time) kept the region inline
     /// before the model was consulted.
     Floor,
-}
-
-impl Decision {
-    /// Whether the region fans out.
-    pub fn is_parallel(self) -> bool {
-        self == Decision::Parallel
-    }
 }
 
 /// Online cost estimate for one named region: nanoseconds per unit
@@ -226,7 +171,7 @@ impl Decision {
 /// observed span timings. Atomic so parallel regions can be observed
 /// without locks; the f64 estimate is stored as its bit pattern.
 #[derive(Debug)]
-pub struct RegionCost {
+pub(crate) struct RegionCost {
     unit_ns_bits: AtomicU64,
     samples: AtomicU64,
 }
@@ -240,16 +185,11 @@ impl RegionCost {
     }
 
     /// Current estimated cost of one unit (item × weight), nanoseconds.
-    pub fn unit_ns(&self) -> f64 {
+    pub(crate) fn unit_ns(&self) -> f64 {
         f64::from_bits(self.unit_ns_bits.load(Ordering::Relaxed))
     }
 
-    /// Number of timing observations folded into the estimate.
-    pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
-    }
-
-    fn observe(&self, units: u64, elapsed: Duration) {
+    pub(crate) fn observe(&self, units: u64, elapsed: Duration) {
         if units == 0 {
             return;
         }
@@ -262,8 +202,7 @@ impl RegionCost {
             // First measurement replaces the static seed outright.
             observed
         } else {
-            let old = self.unit_ns();
-            (3.0 * old + observed) / 4.0
+            (3.0 * self.unit_ns() + observed) / 4.0
         };
         self.unit_ns_bits.store(new.to_bits(), Ordering::Relaxed);
     }
@@ -287,164 +226,94 @@ fn seed_for(region: &str) -> f64 {
 /// The sizing of one parallel region: how many workers to spawn and how
 /// many items each chunk carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkPlan {
+pub(crate) struct ChunkPlan {
     /// Scoped threads to spawn (≤ pool budget, ≤ chunk count).
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Items per chunk; the last chunk may be short.
-    pub chunk_len: usize,
+    pub(crate) chunk_len: usize,
     /// Total chunks (`ceil(len / chunk_len)`).
-    pub chunks: usize,
+    pub(crate) chunks: usize,
 }
 
-/// Cost-model state shared by all regions of one [`WorkerPool`](crate::WorkerPool).
+/// Cost-model state shared by all regions of one pool (and its clones).
 ///
-/// `decide` and `plan` are pure functions of the configuration, the
+/// Decisions and plans are pure functions of the configuration, the
 /// calibration and the observation history, which is what makes cutover
 /// decisions reproducible: two schedulers constructed with the same
 /// [`SchedConfig`] (fixed calibration) and fed the same observation
-/// sequence return identical decisions for identical queries.
+/// sequence decide identically.
 #[derive(Debug)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     cfg: SchedConfig,
     regions: Mutex<HashMap<&'static str, Arc<RegionCost>>>,
 }
 
-/// Safety margin: predicted serial time must beat predicted parallel time
-/// by 15% before a region fans out, so model noise near the break-even
-/// point resolves to the cheap (serial) side.
-const CUTOVER_MARGIN_NUM: f64 = 1.15;
-
-/// Upper bound on chunks per worker: enough slack for stealing to
-/// rebalance stragglers without drowning in per-chunk overhead.
-const MAX_CHUNKS_PER_WORKER: usize = 8;
-
-/// Serial spans predicted shorter than this are not worth the two
-/// `Instant` reads it takes to learn from them.
-const LEARN_MIN_NS: f64 = 20_000.0;
-
 impl Scheduler {
-    pub fn new(cfg: SchedConfig) -> Scheduler {
+    pub(crate) fn new(cfg: SchedConfig) -> Scheduler {
         Scheduler { cfg, regions: Mutex::new(HashMap::new()) }
     }
 
-    pub fn config(&self) -> &SchedConfig {
-        &self.cfg
+    /// Whether span timings feed the model (adaptive mode only).
+    pub(crate) fn learning(&self) -> bool {
+        self.cfg.mode == SchedMode::Adaptive
     }
 
     /// The calibration in effect: the configured fixture, or the one-time
     /// process-wide probe.
-    pub fn calibration(&self) -> Calibration {
+    fn calibration(&self) -> Calibration {
         self.cfg.calibration.unwrap_or_else(Calibration::probe)
     }
 
     /// The (lazily created) cost accumulator for a region.
-    pub fn region(&self, name: &'static str) -> Arc<RegionCost> {
+    pub(crate) fn region(&self, name: &'static str) -> Arc<RegionCost> {
         let mut map = self.regions.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(map.entry(name).or_insert_with(|| Arc::new(RegionCost::new(seed_for(name)))))
     }
 
-    /// Predicted serial time of a region, nanoseconds.
-    pub fn predict_serial_ns(&self, region: &RegionCost, len: usize, weight: u64) -> f64 {
-        (len as f64) * (weight.max(1) as f64) * region.unit_ns()
-    }
-
     /// Predicted parallel time of a region over `workers` workers,
     /// nanoseconds (spawn cost plus the ideally-divided serial work).
-    pub fn predict_parallel_ns(&self, serial_ns: f64, workers: usize) -> f64 {
-        let cal = self.calibration();
-        (cal.spawn_ns * workers as u64) as f64 + serial_ns / workers as f64
+    pub(crate) fn predict_parallel_ns(&self, serial_ns: f64, workers: usize) -> f64 {
+        (self.calibration().spawn_ns * workers as u64) as f64 + serial_ns / workers as f64
     }
 
-    /// Serial-vs-parallel cutover for a region of `len` items with the
-    /// given per-item weight, on a pool with `threads` budget.
-    pub fn decide(&self, region: &RegionCost, len: usize, weight: u64, threads: usize) -> Decision {
-        if threads <= 1 {
-            return Decision::Serial;
+    /// Workers an adaptive region of `len` items may use on a pool of
+    /// `threads`.
+    fn workers(&self, len: usize, threads: usize) -> usize {
+        threads.min(self.calibration().hw_threads).min(len)
+    }
+
+    /// Serial-vs-parallel cutover for a region of `len` items whose
+    /// predicted serial time is `serial_ns`, on a pool of `threads` (> 1).
+    pub(crate) fn decide(&self, serial_ns: f64, len: usize, threads: usize) -> Decision {
+        if self.cfg.mode == SchedMode::Force {
+            return if len >= 2 { Decision::Parallel } else { Decision::Floor };
         }
-        match self.cfg.mode {
-            SchedMode::Serial => Decision::Serial,
-            SchedMode::Off => {
-                // Legacy policy, bit-for-bit: `len >= 4 * threads`.
-                if len >= 4 * threads {
-                    Decision::Parallel
-                } else {
-                    Decision::Floor
-                }
-            }
-            SchedMode::Force => {
-                if len >= 2 {
-                    Decision::Parallel
-                } else {
-                    Decision::Floor
-                }
-            }
-            SchedMode::Adaptive => {
-                if len < self.cfg.min_items {
-                    return Decision::Floor;
-                }
-                let serial_ns = self.predict_serial_ns(region, len, weight);
-                if serial_ns < (self.cfg.min_serial_us * 1_000) as f64 {
-                    return Decision::Floor;
-                }
-                let workers = threads.min(self.calibration().hw_threads).min(len);
-                if workers <= 1 {
-                    return Decision::Serial;
-                }
-                if serial_ns > self.predict_parallel_ns(serial_ns, workers) * CUTOVER_MARGIN_NUM {
-                    Decision::Parallel
-                } else {
-                    Decision::Serial
-                }
-            }
+        if len < MIN_ITEMS || serial_ns < MIN_SERIAL_NS {
+            return Decision::Floor;
+        }
+        let workers = self.workers(len, threads);
+        if workers > 1 && serial_ns > self.predict_parallel_ns(serial_ns, workers) * CUTOVER_MARGIN
+        {
+            Decision::Parallel
+        } else {
+            Decision::Serial
         }
     }
 
     /// Chunk sizing for a region that [`Scheduler::decide`]d to fan out.
-    pub fn plan(&self, region: &RegionCost, len: usize, weight: u64, threads: usize) -> ChunkPlan {
+    pub(crate) fn plan(&self, serial_ns: f64, len: usize, threads: usize) -> ChunkPlan {
         debug_assert!(len > 0);
-        let chunks = match self.cfg.mode {
-            SchedMode::Off => threads.min(len),
-            SchedMode::Force => (threads * 4).min(len),
-            SchedMode::Serial | SchedMode::Adaptive => {
-                let workers = threads.min(self.calibration().hw_threads).min(len).max(1);
-                if self.cfg.mode == SchedMode::Serial {
-                    workers
-                } else if self.cfg.steal {
-                    let serial_ns = self.predict_serial_ns(region, len, weight);
-                    let target = (self.cfg.chunk_target_us.max(1) * 1_000) as f64;
-                    let by_cost = (serial_ns / target).ceil() as usize;
-                    by_cost.clamp(workers, workers * MAX_CHUNKS_PER_WORKER).min(len)
-                } else {
-                    workers
-                }
+        let (chunks, max_workers) = match self.cfg.mode {
+            SchedMode::Force => ((threads * 4).min(len), threads),
+            SchedMode::Adaptive => {
+                let workers = self.workers(len, threads).max(1);
+                let by_cost = (serial_ns / CHUNK_TARGET_NS).ceil() as usize;
+                (by_cost.clamp(workers, workers * MAX_CHUNKS_PER_WORKER).min(len), workers)
             }
         };
-        let chunks = chunks.max(1);
-        let chunk_len = len.div_ceil(chunks);
+        let chunk_len = len.div_ceil(chunks.max(1));
         let chunks = len.div_ceil(chunk_len);
-        let workers = match self.cfg.mode {
-            SchedMode::Off | SchedMode::Force => threads.min(chunks),
-            SchedMode::Serial | SchedMode::Adaptive => {
-                threads.min(self.calibration().hw_threads).min(chunks).max(1)
-            }
-        };
-        ChunkPlan { workers, chunk_len, chunks }
-    }
-
-    /// Whether a serial span of this predicted size is worth timing for
-    /// the model (the clock reads are ~2% of a 20µs span and shrink from
-    /// there).
-    pub fn should_learn_serial(&self, region: &RegionCost, len: usize, weight: u64) -> bool {
-        self.cfg.mode == SchedMode::Adaptive
-            && self.predict_serial_ns(region, len, weight) >= LEARN_MIN_NS
-    }
-
-    /// Folds an observed span into a region's cost estimate.
-    pub fn observe(&self, region: &RegionCost, len: usize, weight: u64, elapsed: Duration) {
-        if self.cfg.mode != SchedMode::Adaptive {
-            return;
-        }
-        region.observe((len as u64).saturating_mul(weight.max(1)), elapsed);
+        ChunkPlan { workers: max_workers.min(chunks).max(1), chunk_len, chunks }
     }
 }
 
@@ -452,76 +321,58 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn fixed() -> Calibration {
-        Calibration { spawn_ns: 20_000, hw_threads: 8 }
+    fn fixed() -> Scheduler {
+        Scheduler::new(SchedConfig::with_calibration(Calibration {
+            spawn_ns: 20_000,
+            hw_threads: 8,
+        }))
     }
 
-    #[test]
-    fn parse_round_trips_tokens() {
-        let cfg = SchedConfig::parse("force,steal=0,min_items=3,min_serial_us=7,chunk_us=50");
-        assert_eq!(cfg.mode, SchedMode::Force);
-        assert!(!cfg.steal);
-        assert_eq!(cfg.min_items, 3);
-        assert_eq!(cfg.min_serial_us, 7);
-        assert_eq!(cfg.chunk_target_us, 50);
-        assert_eq!(SchedConfig::parse("off").mode, SchedMode::Off);
-        assert_eq!(SchedConfig::parse("serial").mode, SchedMode::Serial);
-        assert_eq!(SchedConfig::parse("on").mode, SchedMode::Adaptive);
-        // Unknown tokens are ignored, not fatal.
-        assert_eq!(SchedConfig::parse("bogus,mode=nope"), SchedConfig::default());
+    /// Predicted serial time of `len` items of `weight` in a region.
+    fn serial_ns(r: &RegionCost, len: usize, weight: u64) -> f64 {
+        len as f64 * weight as f64 * r.unit_ns()
     }
 
     #[test]
     fn floor_guards_fire_before_the_model() {
-        let s = Scheduler::new(SchedConfig::with_calibration(fixed()));
+        let s = fixed();
         let r = s.region("cpm_wave");
-        assert_eq!(s.decide(&r, 15, 1, 8), Decision::Floor, "min_items");
+        assert_eq!(s.decide(serial_ns(&r, 15, 1_000), 15, 8), Decision::Floor, "min items");
         // 100 items x 1 word x 100ns seed = 10us < 200us floor.
-        assert_eq!(s.decide(&r, 100, 1, 8), Decision::Floor, "min_serial_us");
-        assert_eq!(s.decide(&r, 1_000_000, 64, 1), Decision::Serial, "serial pool");
+        assert_eq!(s.decide(serial_ns(&r, 100, 1), 100, 8), Decision::Floor, "min serial time");
     }
 
     #[test]
     fn model_cuts_over_when_serial_dominates_spawn_cost() {
-        let s = Scheduler::new(SchedConfig::with_calibration(fixed()));
+        let s = fixed();
         let r = s.region("cpm_wave");
         // 10k items x 64 words x 100ns = 64ms serial; parallel over 8
         // workers ~ 8.16ms — clear win.
-        assert_eq!(s.decide(&r, 10_000, 64, 8), Decision::Parallel);
+        assert_eq!(s.decide(serial_ns(&r, 10_000, 64), 10_000, 8), Decision::Parallel);
         // After observing a much cheaper reality (0.5ns/unit), a mid-size
         // region cuts back to serial: 6.5k items x 64 words = 208us
         // serial, while parallel pays 160us of spawn for 26us of divided
         // work (186us, within the 15% margin of serial).
-        s.observe(&r, 10_000, 64, Duration::from_micros(320));
+        r.observe(10_000 * 64, Duration::from_micros(320));
         assert_eq!(r.unit_ns(), 0.5);
-        assert_eq!(s.decide(&r, 6_500, 64, 8), Decision::Serial);
+        assert_eq!(s.decide(serial_ns(&r, 6_500, 64), 6_500, 8), Decision::Serial);
         // ...while the original heavy region stays parallel.
-        assert_eq!(s.decide(&r, 10_000, 64, 8), Decision::Parallel);
+        assert_eq!(s.decide(serial_ns(&r, 10_000, 64), 10_000, 8), Decision::Parallel);
     }
 
     #[test]
     fn chunks_scale_with_predicted_cost_not_thread_count() {
-        let s = Scheduler::new(SchedConfig::with_calibration(fixed()));
+        let s = fixed();
         let r = s.region("cpm_wave");
-        // 64ms of predicted work at chunk_target=100us wants 640 chunks,
-        // clamped to workers * 8.
-        let plan = s.plan(&r, 10_000, 64, 8);
+        // 64ms of predicted work at a 100us chunk target wants 640
+        // chunks, clamped to workers * 8.
+        let plan = s.plan(serial_ns(&r, 10_000, 64), 10_000, 8);
         assert_eq!(plan.workers, 8);
         assert_eq!(plan.chunks, 64);
         // A small region still gets at least one chunk per worker.
-        let small = s.plan(&r, 40, 1, 8);
+        let small = s.plan(serial_ns(&r, 40, 1), 40, 8);
         assert!(small.chunks >= small.workers);
-        assert_eq!(small.chunk_len.checked_mul(small.chunks).map(|t| t >= 40), Some(true));
-    }
-
-    #[test]
-    fn off_mode_reproduces_legacy_grain() {
-        let s = Scheduler::new(SchedConfig::legacy());
-        let r = s.region("anon");
-        assert_eq!(s.decide(&r, 31, 1, 8), Decision::Floor);
-        assert_eq!(s.decide(&r, 32, 1, 8), Decision::Parallel);
-        let plan = s.plan(&r, 1000, 1, 4);
-        assert_eq!((plan.workers, plan.chunk_len), (4, 250));
+        assert!(small.chunk_len * small.chunks >= 40);
     }
 
     #[test]
@@ -531,6 +382,15 @@ mod tests {
         assert_eq!(r.unit_ns(), 10.0);
         r.observe(1_000, Duration::from_micros(50)); // 50ns/unit
         assert_eq!(r.unit_ns(), 20.0); // (3*10 + 50) / 4
-        assert_eq!(r.samples(), 2);
+        assert_eq!(r.samples.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn only_the_force_token_changes_the_env_config() {
+        assert_eq!(SchedConfig::from_spec("force"), SchedConfig::forced());
+        assert_eq!(SchedConfig::from_spec("adaptive, force"), SchedConfig::forced());
+        for stale in ["", "off", "serial", "steal=0,min_items=3"] {
+            assert_eq!(SchedConfig::from_spec(stale), SchedConfig::default(), "{stale}");
+        }
     }
 }

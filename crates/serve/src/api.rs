@@ -330,9 +330,9 @@ impl JobState {
 }
 
 /// A job's externally visible status: state plus, when terminal, the
-/// result document (the exact [`FlowResult::to_json`]
-/// (als_engine::FlowResult::to_json) shape `als synth --json` prints) or
-/// the error body.
+/// result document (the exact
+/// [`FlowResult::to_json`](als_engine::FlowResult::to_json) shape
+/// `als synth --json` prints) or the error body.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobStatus {
     /// Daemon-assigned job id.

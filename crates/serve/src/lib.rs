@@ -3,18 +3,18 @@
 //!
 //! Three layers, one schema:
 //!
-//! * [`api`] — the versioned wire protocol: [`JobSpec`](api::JobSpec),
-//!   [`JobState`](api::JobState), [`JobStatus`](api::JobStatus),
-//!   [`ErrorBody`](api::ErrorBody) and the request/response envelope.
+//! * [`api`] — the versioned wire protocol: [`JobSpec`],
+//!   [`JobState`], [`JobStatus`],
+//!   [`ErrorBody`] and the request/response envelope.
 //!   Server and client both convert through these types, so the two ends
 //!   cannot drift. Completed jobs embed the engine's shared
 //!   [`FlowResult::to_json`](als_engine::FlowResult::to_json) document —
 //!   the same object `als synth --json` prints.
 //! * [`queue`] — bounded priority queue with per-tenant admission
 //!   control (queued and running ceilings per tenant).
-//! * [`server`] / [`client`] — the [`Daemon`](server::Daemon) (TCP line
+//! * [`server`] / [`client`] — the [`Daemon`] (TCP line
 //!   protocol, plus plain-HTTP `GET /metrics` and `GET /healthz` on the
-//!   same port) and the [`Client`](client::Client) the `als job`
+//!   same port) and the [`Client`] the `als job`
 //!   subcommands use.
 //!
 //! Jobs are crash-safe: every lifecycle transition persists to the job's

@@ -1,7 +1,7 @@
 //! Full and incremental bit-parallel simulation.
 
 use als_aig::{Aig, Lit, NodeId};
-use als_par::{RegionSpec, WorkerPool};
+use als_par::{WorkerPanic, WorkerPool};
 
 use crate::bitvec::PackedBits;
 use crate::patterns::PatternSet;
@@ -155,17 +155,16 @@ impl Simulator {
     /// model (weighted by the word count), so a simulation region never
     /// pays spawn overhead its work cannot amortise.
     fn eval_in_waves(&mut self, aig: &Aig, order: &[NodeId], pool: &WorkerPool) {
-        let cone = RegionSpec::weighted("sim", self.num_words as u64);
-        if pool.is_serial() || !pool.decide(cone, order.len()) {
-            let t0 = pool.should_learn(cone, order.len()).then(std::time::Instant::now);
-            for &id in order {
-                if aig.node(id).is_and() {
-                    self.eval_and(aig, id);
+        let words = self.num_words as u64;
+        let cone = pool.region("sim", words);
+        if pool.fan_out(&cone, order.len()).is_none() {
+            pool.inline(&cone, order.len(), || {
+                for &id in order {
+                    if aig.node(id).is_and() {
+                        self.eval_and(aig, id);
+                    }
                 }
-            }
-            if let Some(t0) = t0 {
-                pool.observe_serial(cone, order.len(), t0.elapsed());
-            }
+            });
             return;
         }
         // Logic level per node: fanins always sit in strictly lower levels,
@@ -190,25 +189,20 @@ impl Simulator {
             }
             waves[slot].push(id);
         }
-        let per_wave = pool.region(RegionSpec::weighted("sim_wave", self.num_words as u64));
+        let per_wave = pool.region("sim_wave", words);
         for wave in &waves {
-            if !pool.decide_region(&per_wave, wave.len()) {
-                let t0 =
-                    pool.should_learn_region(&per_wave, wave.len()).then(std::time::Instant::now);
-                for &id in wave {
-                    self.eval_and(aig, id);
-                }
-                if let Some(t0) = t0 {
-                    pool.observe_serial_region(&per_wave, wave.len(), t0.elapsed());
-                }
+            let Some(fanout) = pool.fan_out(&per_wave, wave.len()) else {
+                pool.inline(&per_wave, wave.len(), || {
+                    for &id in wave {
+                        self.eval_and(aig, id);
+                    }
+                });
                 continue;
-            }
+            };
             let (values, num_words) = (&self.values, self.num_words);
-            let results = pool
-                .map_parallel_in(per_wave.spec(), wave, |&id| {
-                    Simulator::and_value(values, num_words, aig, id)
-                })
-                .unwrap_or_else(|p| p.resume());
+            let results = fanout
+                .map(wave, || (), |(), &id| Ok(Simulator::and_value(values, num_words, aig, id)))
+                .unwrap_or_else(|p: WorkerPanic| p.resume());
             for (&id, v) in wave.iter().zip(results) {
                 self.values[id.index()] = v;
             }

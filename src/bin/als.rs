@@ -17,9 +17,9 @@
 //! --metric er|med|mse                     (default med)
 //! --bound X                               (default: paper reference R)
 //! --patterns N   --seed S   --threads T   --full
-//! --sched SPEC       scheduler spec (adaptive|off|serial|force, plus
-//!                    steal=0|1, min_items=N, min_serial_us=N, chunk_us=N);
-//!                    overrides the ALS_SCHED environment default
+//!                    (with T > 1 an adaptive cost model decides per region
+//!                    whether to fan out; `ALS_SCHED=force` is a test aid
+//!                    that fans out every region — output never changes)
 //! --strict           re-validate every commit on an independent pattern set
 //! --max-retries N    rollbacks allowed per selection before giving up
 //! --timeout SECS     stop gracefully after a wall-clock deadline
@@ -106,7 +106,6 @@ struct SynthOpts {
     patterns: usize,
     seed: u64,
     threads: Option<usize>,
-    sched: Option<String>,
     full: bool,
     strict: bool,
     max_retries: Option<usize>,
@@ -183,7 +182,6 @@ fn run() -> Result<Outcome, String> {
                 patterns: 8192,
                 seed: 0xA15,
                 threads: None,
-                sched: None,
                 full: false,
                 strict: false,
                 max_retries: None,
@@ -215,7 +213,6 @@ fn run() -> Result<Outcome, String> {
                     "--threads" => {
                         o.threads = Some(value("--threads")?.parse().map_err(|_| "bad --threads")?)
                     }
-                    "--sched" => o.sched = Some(value("--sched")?.to_string()),
                     "--full" => o.full = true,
                     "--strict" => o.strict = true,
                     "--max-retries" => {
@@ -277,10 +274,6 @@ fn run() -> Result<Outcome, String> {
                 .obs(obs.clone());
             if let Some(threads) = o.threads {
                 builder = builder.threads(threads);
-            }
-            // --sched beats the ALS_SCHED environment default the same way.
-            if let Some(spec) = &o.sched {
-                builder = builder.sched(dualphase_als::par::SchedConfig::parse(spec));
             }
             if o.strict {
                 builder = builder.strict();
@@ -363,7 +356,7 @@ fn run() -> Result<Outcome, String> {
                  als list\n  \
                  als stats <circuit> [--full]\n  \
                  als synth <circuit> [--flow dpsa] [--metric med] [--bound X] \
-                 [--patterns N] [--seed S] [--threads T] [--sched SPEC] [--full] [--strict] \
+                 [--patterns N] [--seed S] [--threads T] [--full] [--strict] \
                  [--max-retries N] [--timeout SECS] [--max-iters N] \
                  [--journal p|--resume p] \
                  [--trace p.jsonl] [--metrics p.prom] [--tree] [-o out.aag]\n\
