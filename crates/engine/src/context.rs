@@ -196,6 +196,11 @@ pub struct Ctx {
 /// The fused [`ErrorState::eval_flips_sparse`] kernel then streams
 /// `d ∧ P[n][o]` word-by-word with zero-word skipping — bit-identical to
 /// materialising the flip vectors and calling `eval_flips`.
+///
+/// `ALS_SIMD=0` (see [`als_sim::kernel::simd_enabled`]) selects that
+/// materialising reference instead: it shares no code with the fused
+/// kernel and allocates per candidate, so it serves as the end-to-end
+/// oracle for the fused path.
 fn eval_one<'a>(
     aig: &Aig,
     sim: &Simulator,
@@ -207,9 +212,20 @@ fn eval_one<'a>(
 ) -> Option<Evaluated> {
     let row = cpm.row(lac.target)?;
     lac.change_vector_into(sim, d);
-    flips.clear();
-    flips.extend(row.iter().map(|(o, bits)| SparseFlip { output: o as usize, bits }));
-    let error_after = state.eval_flips_sparse(d, flips);
+    let error_after = if als_sim::kernel::simd_enabled() {
+        flips.clear();
+        flips.extend(row.iter().map(|(o, bits)| SparseFlip { output: o as usize, bits }));
+        state.eval_flips_sparse(d, flips)
+    } else {
+        let dense: Vec<FlipVec> = row
+            .iter()
+            .filter_map(|(o, p)| {
+                let bits = p.and(d);
+                (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
+            })
+            .collect();
+        state.eval_flips(&dense)
+    };
     let saving = als_lac::area_saving(aig, lac.target);
     Some(Evaluated { lac: *lac, error_after, saving })
 }
@@ -319,24 +335,6 @@ impl Ctx {
             self.sim.output_value_into(&self.aig, o, out);
         }
         self.state.refresh(&self.outs);
-    }
-
-    /// Converts a LAC's change vector plus a CPM row into per-output flip
-    /// vectors.
-    pub fn flips_for(&self, lac: &Lac, cpm: &Cpm) -> Option<Vec<FlipVec>> {
-        let row = cpm.row(lac.target)?;
-        let d = lac.change_vector(&self.sim);
-        if d.is_zero() {
-            return Some(Vec::new());
-        }
-        Some(
-            row.iter()
-                .filter_map(|(o, p)| {
-                    let bits = p.and(&d);
-                    (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
-                })
-                .collect(),
-        )
     }
 
     /// Evaluates candidate LACs against the CPM, in parallel when the

@@ -14,6 +14,8 @@
 //! patterns — with early abort once a bound is provably exceeded. This is
 //! the paper's "step 3" work unit.
 
+#![forbid(unsafe_code)]
+
 pub mod metric;
 pub mod report;
 pub mod state;

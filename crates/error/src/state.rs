@@ -335,114 +335,24 @@ impl ErrorState {
     /// `flips` must be sorted consistently with the caller's reference
     /// ordering (CPM rows are sorted by output).
     ///
-    /// Dispatches between [`ErrorState::eval_flips_sparse_scalar`] and
-    /// [`ErrorState::eval_flips_sparse_chunked`] on the process-wide
-    /// `ALS_SIMD` toggle (see [`als_sim::kernel::simd_enabled`]); the two
-    /// kernels are `to_bits()`-identical by construction and by test.
-    pub fn eval_flips_sparse(&self, d: &PackedBits, flips: &[SparseFlip<'_>]) -> f64 {
-        if als_sim::kernel::simd_enabled() {
-            self.eval_flips_sparse_chunked(d, flips)
-        } else {
-            self.eval_flips_sparse_scalar(d, flips)
-        }
-    }
-
-    /// The scalar reference kernel behind [`ErrorState::eval_flips_sparse`]
-    /// — one word at a time, per-flip window checks, no precomputed union.
-    /// Kept compiled in as the A/B baseline for the chunked kernel.
-    pub fn eval_flips_sparse_scalar(&self, d: &PackedBits, flips: &[SparseFlip<'_>]) -> f64 {
-        let n = self.num_patterns() as f64;
-        if flips.is_empty() {
-            return self.sum / n;
-        }
-        assert_eq!(d.num_words(), self.num_words, "change-vector width mismatch");
-        let lo = flips.iter().map(|f| f.bits.nz_begin()).min().unwrap_or(0);
-        let hi = flips.iter().map(|f| f.bits.nz_end()).max().unwrap_or(0);
-        // Per-word compaction: the flips whose masked word `d ∧ P` is
-        // nonzero at the current word index, in row order. The per-bit loop
-        // below then touches only entries that actually flip something in
-        // this word — a per-word refinement of the boxed path's whole-row
-        // zero filtering. Rows wider than the stack buffers fall back to
-        // one heap buffer per call (still far below the boxed layout's
-        // per-entry allocations).
-        let mut active_stack = [(0u64, 0u32); STACK_FLIPS];
-        let mut active_heap: Vec<(u64, u32)> = Vec::new();
-        let active: &mut [(u64, u32)] = if flips.len() <= STACK_FLIPS {
-            &mut active_stack[..flips.len()]
-        } else {
-            active_heap.resize(flips.len(), (0, 0));
-            &mut active_heap
-        };
-        let mut delta_sum = 0.0;
-        for wi in lo..hi {
-            let dw = d.words()[wi] & self.word_mask(wi);
-            if dw == 0 {
-                continue;
-            }
-            let mut changed = 0u64;
-            let mut k = 0usize;
-            for f in flips.iter() {
-                if wi >= f.bits.nz_begin() && wi < f.bits.nz_end() {
-                    let m = dw & f.bits.words()[wi];
-                    if m != 0 {
-                        active[k] = (m, f.output as u32);
-                        k += 1;
-                        changed |= m;
-                    }
-                }
-            }
-            while changed != 0 {
-                let b = changed.trailing_zeros() as usize;
-                changed &= changed - 1;
-                let p = wi * 64 + b;
-                let (mut cnt, mut e) = (self.wrong_count[p] as i64, self.err[p]);
-                for &(m, o) in active[..k].iter() {
-                    if m >> b & 1 == 1 {
-                        let o = o as usize;
-                        let was_diff = self.diff[o].words()[wi] >> b & 1 == 1;
-                        cnt += if was_diff { -1 } else { 1 };
-                        if self.kind.is_weighted() {
-                            let w = self.weights[o];
-                            // current approx bit = exact ^ diff; toggling it
-                            // moves the signed error by ∓w.
-                            let approx_bit = (self.exact[o].words()[wi] >> b & 1 == 1) ^ was_diff;
-                            e += if approx_bit { -w } else { w };
-                        }
-                    }
-                }
-                delta_sum += match self.kind {
-                    MetricKind::Er => {
-                        (cnt > 0) as i64 as f64 - (self.wrong_count[p] > 0) as i64 as f64
-                    }
-                    MetricKind::Med => e.abs() - self.err[p].abs(),
-                    MetricKind::Mse => e * e - self.err[p] * self.err[p],
-                };
-            }
-        }
-        (self.sum + delta_sum) / n
-    }
-
-    /// The chunked kernel behind [`ErrorState::eval_flips_sparse`].
+    /// Three restructurings over the reference, none of which reorders a
+    /// floating-point operation:
     ///
-    /// Three restructurings over the scalar reference, none of which
-    /// reorders a floating-point operation:
-    ///
-    /// 1. a vectorized union-OR pre-pass accumulates every flip's nonzero
-    ///    window into one scratch vector, so each word decides "anything
-    ///    flips here?" with a single AND instead of a loop over all flips;
-    /// 2. the compaction loop drops the per-flip window comparisons —
-    ///    words outside a `BitsRef` window are zero by contract, so the
-    ///    mask test subsumes them — and gathers each active flip's diff
-    ///    word, exact word and weight alongside its mask, turning the
-    ///    per-bit loop's three indirect loads per flip into sequential
-    ///    reads of one compact record;
+    /// 1. a union-OR pre-pass accumulates every flip's nonzero window into
+    ///    one scratch vector, so each word decides "anything flips here?"
+    ///    with a single AND instead of a loop over all flips;
+    /// 2. a per-word compaction gathers each flip whose masked word
+    ///    `d ∧ P` is nonzero, with its diff word, exact word and weight, so
+    ///    the per-bit loop reads one compact record per active flip. Words
+    ///    outside a `BitsRef` window are zero by contract, so the mask test
+    ///    needs no window comparison;
     /// 3. single-active-flip words (the common case on narrow cones) take
     ///    a branch-free specialisation of the same update.
     ///
-    /// The f64 accumulation order is exactly the scalar kernel's —
-    /// ascending words, ascending bits, flips in row order — so results
-    /// are `to_bits()`-identical, which the A/B tests assert.
-    pub fn eval_flips_sparse_chunked(&self, d: &PackedBits, flips: &[SparseFlip<'_>]) -> f64 {
+    /// The f64 accumulation order is the reference's — ascending words,
+    /// ascending bits, flips in row order — so results are
+    /// `to_bits()`-identical, which the tests assert.
+    pub fn eval_flips_sparse(&self, d: &PackedBits, flips: &[SparseFlip<'_>]) -> f64 {
         let n = self.num_patterns() as f64;
         if flips.is_empty() {
             return self.sum / n;
@@ -453,7 +363,7 @@ impl ErrorState {
         if lo >= hi {
             return self.sum / n;
         }
-        // Union-OR pre-pass over the flip windows (vectorized).
+        // Union-OR pre-pass over the flip windows.
         const STACK_WORDS: usize = 256;
         let width = hi - lo;
         let mut union_stack = [0u64; STACK_WORDS];
@@ -470,7 +380,8 @@ impl ErrorState {
                 als_sim::kernel::or_assign(&mut union[b - lo..e - lo], &f.bits.words()[b..e]);
             }
         }
-        // Same compaction stack size and heap spill as the scalar kernel.
+        // Per-word compaction buffer; rows wider than the stack buffer
+        // spill to one heap buffer per call.
         let mut active_stack = [ActiveFlip::ZERO; STACK_FLIPS];
         let mut active_heap: Vec<ActiveFlip> = Vec::new();
         let active: &mut [ActiveFlip] = if flips.len() <= STACK_FLIPS {
@@ -557,12 +468,12 @@ impl ErrorState {
     }
 }
 
-/// Size of the per-word compaction stack buffer shared by both
-/// `eval_flips_sparse` kernels; rows with more flips spill to one heap
-/// buffer per call.
+/// Size of the per-word compaction stack buffer of
+/// [`ErrorState::eval_flips_sparse`]; rows with more flips spill to one
+/// heap buffer per call.
 const STACK_FLIPS: usize = 128;
 
-/// One compacted per-word flip record of the chunked kernel: the masked
+/// One compacted per-word flip record of the fused kernel: the masked
 /// flip word plus the diff/exact words and weight the per-bit loop needs,
 /// gathered once per word so the inner loop reads sequentially.
 #[derive(Copy, Clone)]
@@ -673,28 +584,10 @@ mod tests {
     }
 
     #[test]
-    fn eval_flips_sparse_chunked_is_bit_identical_to_scalar() {
-        let exact = vec![bits(vec![0b1100, 0, 0b1]), bits(vec![0b1010, 0, 0b10])];
-        let approx = [bits(vec![0b0110, 0, 0b11]), bits(vec![0b1010, 0, 0])];
-        for kind in MetricKind::ALL {
-            let s = ErrorState::new(kind, unsigned_weights(2), exact.clone(), &approx);
-            let d = bits(vec![0b0111, 0, 0b10]);
-            let rows = [(0u32, bits(vec![0b0101, 0, 0b11])), (1u32, bits(vec![0, 0, 0b10]))];
-            let sparse: Vec<SparseFlip<'_>> = rows
-                .iter()
-                .map(|(o, p)| SparseFlip { output: *o as usize, bits: p.as_bits_ref() })
-                .collect();
-            let a = s.eval_flips_sparse_scalar(&d, &sparse);
-            let b = s.eval_flips_sparse_chunked(&d, &sparse);
-            assert_eq!(a.to_bits(), b.to_bits(), "{kind}: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn more_than_stack_flips_spill_to_the_heap_and_stay_identical() {
         // 130 outputs all flipping in the same word exceeds the 128-entry
-        // compaction stack buffer; both kernels must take the heap spill
-        // path and agree with the dense reference bit for bit.
+        // compaction stack buffer; the fused kernel must take the heap
+        // spill path and agree with the dense reference bit for bit.
         const OUTPUTS: usize = 130;
         let exact: Vec<PackedBits> = (0..OUTPUTS).map(|o| bits(vec![0b1 << (o % 4)])).collect();
         let approx: Vec<PackedBits> = (0..OUTPUTS).map(|o| bits(vec![0b11 << (o % 3)])).collect();
@@ -715,10 +608,8 @@ mod tests {
                 .filter(|f| !f.bits.is_zero())
                 .collect();
             let reference = s.eval_flips(&dense);
-            let scalar = s.eval_flips_sparse_scalar(&d, &sparse);
-            let chunked = s.eval_flips_sparse_chunked(&d, &sparse);
-            assert_eq!(reference.to_bits(), scalar.to_bits(), "{kind} scalar spill");
-            assert_eq!(reference.to_bits(), chunked.to_bits(), "{kind} chunked spill");
+            let fused = s.eval_flips_sparse(&d, &sparse);
+            assert_eq!(reference.to_bits(), fused.to_bits(), "{kind} spill");
         }
     }
 
@@ -738,12 +629,14 @@ mod tests {
                 MetricKind::Med | MetricKind::Mse => 2.0 / 68.0,
             };
             assert!((s.error() - expect).abs() < 1e-12, "{kind}: {}", s.error());
-            // a change vector full of garbage lanes is masked in eval too
+            // a change vector full of garbage lanes is masked in eval too,
+            // by the fused kernel and the dense reference alike
             let d = bits(vec![0, garbage]);
             let p = bits(vec![0, !0]);
             let sparse = vec![SparseFlip { output: 0, bits: p.as_bits_ref() }];
-            assert_eq!(s.eval_flips_sparse_scalar(&d, &sparse).to_bits(), s.error().to_bits());
-            assert_eq!(s.eval_flips_sparse_chunked(&d, &sparse).to_bits(), s.error().to_bits());
+            let dense = vec![FlipVec { output: 0, bits: d.and(&p) }];
+            assert_eq!(s.eval_flips(&dense).to_bits(), s.error().to_bits());
+            assert_eq!(s.eval_flips_sparse(&d, &sparse).to_bits(), s.error().to_bits());
         }
     }
 

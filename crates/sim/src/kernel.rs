@@ -1,41 +1,27 @@
-//! Fixed-width chunked word kernels behind a runtime SIMD toggle.
+//! Word kernels: one plain loop per bitwise operation.
 //!
 //! Every bitwise operation on packed simulation words funnels through this
-//! module. Each kernel exists in two semantically identical forms:
+//! module, and each exists exactly once, as a safe loop that asserts its
+//! slices have equal lengths. The compiler vectorises these loops on its
+//! own: on x86-64 the release build emits SSE2 at four words per
+//! iteration, the width a hand-chunked body would have. All kernels are
+//! pure integer bit operations, so vectorisation cannot change a result
+//! bit.
 //!
-//! * `*_scalar` — the straightforward one-word-at-a-time loop, always
-//!   compiled in and used as the A/B reference,
-//! * `*_chunked` — the same loop restructured over [`CHUNK`]-word blocks so
-//!   the autovectorizer emits SIMD stores, with a stable `std::arch` AVX2
-//!   body on x86_64 when the CPU supports it (no nightly features).
-//!
-//! The public un-suffixed functions dispatch on [`simd_enabled`], which
-//! reads the `ALS_SIMD` environment variable once per process (`"0"` forces
-//! the scalar path; anything else, or unset, selects the chunked path).
-//! All kernels are pure integer bit operations, so the two forms are
-//! exactly equal — not merely close — and the dispatch can never change a
-//! result bit. The A/B tests in this module and the `ALS_SIMD={0,1}` CI
-//! matrix assert this.
+//! [`simd_enabled`] selects no kernel here: it is the process-wide switch
+//! the engine reads to pick its error evaluator. `ALS_SIMD=0` makes it
+//! evaluate candidates through the materialising reference instead of the
+//! fused sparse evaluator.
 
 use std::sync::OnceLock;
 
-/// Words per chunk in the autovectorization-friendly loops (256 bits — one
-/// AVX2 register, two SSE2/NEON registers).
-pub const CHUNK: usize = 4;
-
-/// Whether the chunked kernels are selected for this process. Reads
-/// `ALS_SIMD` once: `"0"` forces the scalar reference path, anything else
-/// (or unset) enables the chunked path. Cached, so per-test toggling is
-/// impossible by design — A/B tests call the suffixed variants directly.
+/// Whether the engine evaluates LAC candidates with the fused sparse error
+/// evaluator. Reads `ALS_SIMD` once per process: `"0"` selects the
+/// materialising reference evaluator, anything else (or unset) the fused
+/// one. Cached, so per-test toggling is impossible by design.
 pub fn simd_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| std::env::var("ALS_SIMD").map_or(true, |v| v != "0"))
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 /// Mask selecting the valid lanes of the *last* word of a vector holding
@@ -51,256 +37,55 @@ pub fn tail_mask(num_bits: usize) -> u64 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Binary assign kernels: dst[i] op= src[i]
-
-macro_rules! binary_kernel {
-    ($name:ident, $scalar:ident, $chunked:ident, $avx2:ident, $op:tt, $doc:literal) => {
-        #[doc = $doc]
-        #[doc = " Dispatches on [`simd_enabled`]; both paths are exact."]
-        #[inline]
-        pub fn $name(dst: &mut [u64], src: &[u64]) {
-            if simd_enabled() {
-                $chunked(dst, src);
-            } else {
-                $scalar(dst, src);
-            }
-        }
-
-        #[doc = $doc]
-        #[doc = " Scalar reference loop."]
-        pub fn $scalar(dst: &mut [u64], src: &[u64]) {
-            assert_eq!(dst.len(), src.len());
-            for (a, b) in dst.iter_mut().zip(src) {
-                *a $op b;
-            }
-        }
-
-        #[doc = $doc]
-        #[doc = " Chunked loop (AVX2 on x86_64 when available)."]
-        pub fn $chunked(dst: &mut [u64], src: &[u64]) {
-            assert_eq!(dst.len(), src.len());
-            #[cfg(target_arch = "x86_64")]
-            if avx2_available() {
-                // SAFETY: guarded by the runtime AVX2 check above.
-                unsafe { avx2::$avx2(dst, src) };
-                return;
-            }
-            let mut d = dst.chunks_exact_mut(CHUNK);
-            let mut s = src.chunks_exact(CHUNK);
-            for (dc, sc) in (&mut d).zip(&mut s) {
-                for i in 0..CHUNK {
-                    dc[i] $op sc[i];
-                }
-            }
-            for (a, b) in d.into_remainder().iter_mut().zip(s.remainder()) {
-                *a $op b;
-            }
-        }
-    };
-}
-
-binary_kernel!(xor_assign, xor_assign_scalar, xor_assign_chunked, xor_assign_avx2, ^=,
-    "`dst[i] ^= src[i]` over equal-length word slices.");
-binary_kernel!(and_assign, and_assign_scalar, and_assign_chunked, and_assign_avx2, &=,
-    "`dst[i] &= src[i]` over equal-length word slices.");
-binary_kernel!(or_assign, or_assign_scalar, or_assign_chunked, or_assign_avx2, |=,
-    "`dst[i] |= src[i]` over equal-length word slices.");
-
-// ---------------------------------------------------------------------------
-// Unary complement: dst[i] = !dst[i]
-
-/// `dst[i] = !dst[i]`. Dispatches on [`simd_enabled`]; both paths are exact.
+/// `dst[i] ^= src[i]` over equal-length word slices.
 #[inline]
-pub fn not_assign(dst: &mut [u64]) {
-    if simd_enabled() {
-        not_assign_chunked(dst);
-    } else {
-        not_assign_scalar(dst);
+pub fn xor_assign(dst: &mut [u64], src: &[u64]) {
+    assert_eq!(dst.len(), src.len());
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a ^= b;
     }
 }
 
-/// `dst[i] = !dst[i]`. Scalar reference loop.
-pub fn not_assign_scalar(dst: &mut [u64]) {
+/// `dst[i] &= src[i]` over equal-length word slices.
+#[inline]
+pub fn and_assign(dst: &mut [u64], src: &[u64]) {
+    assert_eq!(dst.len(), src.len());
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a &= b;
+    }
+}
+
+/// `dst[i] |= src[i]` over equal-length word slices.
+#[inline]
+pub fn or_assign(dst: &mut [u64], src: &[u64]) {
+    assert_eq!(dst.len(), src.len());
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a |= b;
+    }
+}
+
+/// `dst[i] = !dst[i]`.
+#[inline]
+pub fn not_assign(dst: &mut [u64]) {
     for w in dst {
         *w = !*w;
     }
 }
 
-/// `dst[i] = !dst[i]`. Chunked loop.
-pub fn not_assign_chunked(dst: &mut [u64]) {
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    for dc in &mut d {
-        for w in dc {
-            *w = !*w;
-        }
-    }
-    for w in d.into_remainder() {
-        *w = !*w;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fused masked AND2: dst[i] = (a[i] ^ m0) & (b[i] ^ m1)
-//
-// The AIG simulation kernel: one AND node over two fanins whose edge
-// complements are expressed as whole-word XOR masks (0 or !0).
-
-/// `dst[i] = (a[i] ^ m0) & (b[i] ^ m1)`. Dispatches on [`simd_enabled`];
-/// both paths are exact.
+/// `dst[i] = (a[i] ^ m0) & (b[i] ^ m1)`: the AIG simulation kernel, one
+/// AND node over two fanins whose edge complements are whole-word XOR
+/// masks (0 or !0).
 #[inline]
 pub fn and2_masked(dst: &mut [u64], a: &[u64], b: &[u64], m0: u64, m1: u64) {
-    if simd_enabled() {
-        and2_masked_chunked(dst, a, b, m0, m1);
-    } else {
-        and2_masked_scalar(dst, a, b, m0, m1);
-    }
-}
-
-/// `dst[i] = (a[i] ^ m0) & (b[i] ^ m1)`. Scalar reference loop.
-pub fn and2_masked_scalar(dst: &mut [u64], a: &[u64], b: &[u64], m0: u64, m1: u64) {
     assert!(a.len() == dst.len() && b.len() == dst.len());
     for i in 0..dst.len() {
         dst[i] = (a[i] ^ m0) & (b[i] ^ m1);
     }
 }
 
-/// `dst[i] = (a[i] ^ m0) & (b[i] ^ m1)`. Chunked loop (AVX2 on x86_64
-/// when available).
-pub fn and2_masked_chunked(dst: &mut [u64], a: &[u64], b: &[u64], m0: u64, m1: u64) {
-    assert!(a.len() == dst.len() && b.len() == dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { avx2::and2_masked_avx2(dst, a, b, m0, m1) };
-        return;
-    }
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut ac = a.chunks_exact(CHUNK);
-    let mut bc = b.chunks_exact(CHUNK);
-    for ((dc, av), bv) in (&mut d).zip(&mut ac).zip(&mut bc) {
-        for i in 0..CHUNK {
-            dc[i] = (av[i] ^ m0) & (bv[i] ^ m1);
-        }
-    }
-    let (dr, ar, br) = (d.into_remainder(), ac.remainder(), bc.remainder());
-    for i in 0..dr.len() {
-        dr[i] = (ar[i] ^ m0) & (br[i] ^ m1);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stable std::arch AVX2 bodies (x86_64 only, runtime-detected).
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
-
-    macro_rules! avx2_binary {
-        ($name:ident, $intr:ident, $op:tt) => {
-            /// # Safety
-            /// The caller must have verified AVX2 support at runtime.
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name(dst: &mut [u64], src: &[u64]) {
-                let n = dst.len();
-                let mut i = 0;
-                while i + 4 <= n {
-                    let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-                    let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-                    let r = $intr(d, s);
-                    _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, r);
-                    i += 4;
-                }
-                while i < n {
-                    dst[i] $op src[i];
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    avx2_binary!(xor_assign_avx2, _mm256_xor_si256, ^=);
-    avx2_binary!(and_assign_avx2, _mm256_and_si256, &=);
-    avx2_binary!(or_assign_avx2, _mm256_or_si256, |=);
-
-    /// # Safety
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and2_masked_avx2(dst: &mut [u64], a: &[u64], b: &[u64], m0: u64, m1: u64) {
-        let n = dst.len();
-        let vm0 = _mm256_set1_epi64x(m0 as i64);
-        let vm1 = _mm256_set1_epi64x(m1 as i64);
-        let mut i = 0;
-        while i + 4 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let r = _mm256_and_si256(_mm256_xor_si256(va, vm0), _mm256_xor_si256(vb, vm1));
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, r);
-            i += 4;
-        }
-        while i < n {
-            dst[i] = (a[i] ^ m0) & (b[i] ^ m1);
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn words(seed: u64, len: usize) -> Vec<u64> {
-        // splitmix64: deterministic, fills every lane pattern class
-        let mut s = seed;
-        (0..len)
-            .map(|_| {
-                s = s.wrapping_add(0x9e3779b97f4a7c15);
-                let mut z = s;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                z ^ (z >> 31)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn chunked_binary_ops_equal_scalar_at_all_lengths() {
-        for len in [0, 1, 3, 4, 5, 7, 8, 13, 64, 65] {
-            type BinOp = for<'a, 'b> fn(&'a mut [u64], &'b [u64]);
-            let src = words(7, len);
-            for (scalar, chunked) in [
-                (xor_assign_scalar as BinOp, xor_assign_chunked as BinOp),
-                (and_assign_scalar as BinOp, and_assign_chunked as BinOp),
-                (or_assign_scalar as BinOp, or_assign_chunked as BinOp),
-            ] {
-                let mut a = words(11, len);
-                let mut b = a.clone();
-                scalar(&mut a, &src);
-                chunked(&mut b, &src);
-                assert_eq!(a, b, "len {len}");
-            }
-            let mut a = words(13, len);
-            let mut b = a.clone();
-            not_assign_scalar(&mut a);
-            not_assign_chunked(&mut b);
-            assert_eq!(a, b, "not, len {len}");
-        }
-    }
-
-    #[test]
-    fn chunked_and2_masked_equals_scalar_at_all_lengths() {
-        for len in [0, 1, 3, 4, 5, 7, 8, 13, 64, 65] {
-            let a = words(3, len);
-            let b = words(5, len);
-            for (m0, m1) in [(0, 0), (!0, 0), (0, !0), (!0, !0)] {
-                let mut d0 = vec![0u64; len];
-                let mut d1 = vec![0u64; len];
-                and2_masked_scalar(&mut d0, &a, &b, m0, m1);
-                and2_masked_chunked(&mut d1, &a, &b, m0, m1);
-                assert_eq!(d0, d1, "len {len}, masks ({m0:x}, {m1:x})");
-            }
-        }
-    }
 
     #[test]
     fn tail_mask_covers_all_residues() {

@@ -12,9 +12,10 @@
 //! * [`PatternSet`] — input stimuli (uniform random or exhaustive),
 //! * [`Simulator`] — node values for a whole AIG with full and incremental
 //!   (cone-restricted) resimulation,
-//! * [`kernel`] — the fixed-width chunked word kernels every bitwise hot
-//!   loop funnels through, with an `ALS_SIMD` runtime toggle between the
-//!   scalar reference path and the vectorized path (always bit-identical).
+//! * [`kernel`] — the word kernels every bitwise hot loop funnels through,
+//!   one plain loop per operation that the compiler vectorises.
+
+#![forbid(unsafe_code)]
 
 pub mod bitvec;
 pub mod kernel;
