@@ -3,9 +3,14 @@
 //!
 //! # Architecture
 //!
-//! One accept thread hands each connection to a short-lived handler
-//! thread speaking the line protocol of [`crate::api`]; a fixed fleet of
-//! runner threads drains the [`JobQueue`]. Every job gets its own state
+//! One accept thread blocks in `accept` and hands each connection to a
+//! short-lived handler thread speaking the line protocol of
+//! [`crate::api`]; a fixed fleet of runner threads drains the
+//! [`JobQueue`]. Handlers are scoped to the accept loop: a finished
+//! handler releases its stack as it exits, and the scope joins the live
+//! ones when the loop ends, so the daemon's memory is bounded by its live
+//! connections plus its running jobs. [`Daemon::shutdown`] wakes the
+//! accept with one loopback connection. Every job gets its own state
 //! directory under `<state>/jobs/<id>/`:
 //!
 //! ```text
@@ -37,15 +42,18 @@
 //! Each run writes its own trace/metrics files through a per-job
 //! [`Obs`]; a [`SpanListener`] on that handle fans every rendered event
 //! line out to `watch` subscribers, so a watching client receives *the
-//! same bytes* the trace file records. The daemon additionally keeps a
-//! service-level metrics registry (jobs submitted/completed/failed,
-//! queue depth, ...) exposed in Prometheus text form at `GET /metrics`
-//! (plain HTTP on the same port — the handler sniffs the first bytes of
-//! each connection), with a liveness probe at `GET /healthz`.
+//! same bytes* the trace file records. The lines are buffered for late
+//! watchers only while the job runs; a finished job's watch replays its
+//! `trace.jsonl`, the same before and after a restart. The daemon
+//! additionally keeps a service-level metrics registry (jobs
+//! submitted/completed/failed, queue depth, ...) exposed in Prometheus
+//! text form at `GET /metrics` (plain HTTP on the same port — the handler
+//! sniffs the first bytes of each connection), with a liveness probe at
+//! `GET /healthz`.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -150,7 +158,8 @@ struct JobEntry {
     /// Set when the *client* asked for the cancellation (as opposed to a
     /// daemon drain, which preempts for later resumption).
     cancel_requested: AtomicBool,
-    /// Every span line produced so far, for replay to late watchers.
+    /// Every span line of the current run, for replay to late watchers;
+    /// emptied by [`JobEntry::finish`].
     events: Mutex<Vec<String>>,
     watchers: Mutex<Vec<mpsc::Sender<WatchMsg>>>,
     result: Mutex<Option<Json>>,
@@ -196,8 +205,16 @@ impl JobEntry {
         lock(&self.watchers).retain(|w| w.send(WatchMsg::Line(line.to_string())).is_ok());
     }
 
-    /// Ends every watch stream with the job's final (or drained) state.
-    fn end_watches(&self, state: JobState) {
+    /// The job's last transition in this daemon: persists `state`
+    /// (terminal, or `preempted` by a drain) and releases the replay
+    /// buffer under the events lock, then ends every watch stream. Later
+    /// watchers replay `trace.jsonl` instead, which the run flushed before
+    /// this call.
+    fn finish(&self, state: JobState) {
+        let mut events = lock(&self.events);
+        self.set_state(state);
+        *events = Vec::new();
+        drop(events);
         for w in lock(&self.watchers).drain(..) {
             let _ = w.send(WatchMsg::End(state));
         }
@@ -206,19 +223,19 @@ impl JobEntry {
     /// Registers a watcher and returns the receiver plus a replay of
     /// everything that already happened. Registration happens under the
     /// events lock, so no line can fall between the replay and the live
-    /// stream.
+    /// stream. A job whose run is over replays its trace file and ends.
     fn subscribe(&self) -> (Vec<String>, mpsc::Receiver<WatchMsg>) {
-        let events = lock(&self.events);
-        let replay = events.clone();
         let (tx, rx) = mpsc::channel();
+        let events = lock(&self.events);
         let state = *lock(&self.state);
-        if state.is_terminal() {
-            let _ = tx.send(WatchMsg::End(state));
-        } else {
+        if !state.is_terminal() && state != JobState::Preempted {
             lock(&self.watchers).push(tx);
+            return (events.clone(), rx);
         }
         drop(events);
-        (replay, rx)
+        let _ = tx.send(WatchMsg::End(state));
+        let trace = std::fs::read_to_string(self.dir.join("trace.jsonl")).unwrap_or_default();
+        (trace.lines().map(str::to_string).collect(), rx)
     }
 }
 
@@ -234,7 +251,6 @@ pub struct Daemon {
     metrics: Arc<ServiceMetrics>,
     stop: CancelToken,
     threads: Vec<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Daemon {
@@ -249,13 +265,10 @@ impl Daemon {
         let stop = CancelToken::new();
 
         let max_recovered = recover(&jobs_dir, &registry, &queue, &metrics)?;
-        let next_id = Arc::new(Mutex::new(max_recovered + 1));
 
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
 
         // Runner fleet.
@@ -271,44 +284,21 @@ impl Daemon {
             );
         }
 
-        // Accept loop.
-        {
-            let queue = queue.clone();
-            let registry = registry.clone();
-            let metrics = metrics.clone();
-            let stop = stop.clone();
-            let conn_threads = conn_threads.clone();
-            let next_id = next_id.clone();
-            let jobs_dir = jobs_dir.clone();
-            threads.push(std::thread::Builder::new().name("als-accept".into()).spawn(
-                move || {
-                    while !stop.is_cancelled() {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let ctx = ConnCtx {
-                                    queue: queue.clone(),
-                                    registry: registry.clone(),
-                                    metrics: metrics.clone(),
-                                    stop: stop.clone(),
-                                    next_id: next_id.clone(),
-                                    jobs_dir: jobs_dir.clone(),
-                                };
-                                let handle = std::thread::spawn(move || {
-                                    let _ = handle_connection(stream, &ctx);
-                                });
-                                lock(&conn_threads).push(handle);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(20));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-                        }
-                    }
-                },
-            )?);
-        }
+        let ctx = ConnCtx {
+            queue: queue.clone(),
+            registry: registry.clone(),
+            metrics: metrics.clone(),
+            stop: stop.clone(),
+            next_id: Mutex::new(max_recovered + 1),
+            jobs_dir,
+        };
+        threads.push(
+            std::thread::Builder::new()
+                .name("als-accept".into())
+                .spawn(move || accept_loop(&listener, &ctx))?,
+        );
 
-        Ok(Daemon { addr, cfg, queue, registry, metrics, stop, threads, conn_threads })
+        Ok(Daemon { addr, cfg, queue, registry, metrics, stop, threads })
     }
 
     /// The bound listen address.
@@ -342,6 +332,9 @@ impl Daemon {
     pub fn shutdown(mut self) -> std::io::Result<()> {
         self.queue.close();
         self.stop.cancel();
+        // Wake the blocking accept: the loop ends on the first connection
+        // it takes after the stop token is set.
+        let _ = TcpStream::connect(wake_addr(self.addr));
         // Cancel every non-terminal job; runners observe the token at the
         // next supervision check and seal their journals.
         for entry in lock(&self.registry).values() {
@@ -349,16 +342,27 @@ impl Daemon {
                 entry.cancel.cancel();
             }
         }
+        // The accept thread returns once its scope has joined every live
+        // connection handler.
         for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        for t in lock(&self.conn_threads).drain(..) {
             let _ = t.join();
         }
         // Runners are quiesced: anything still queued (never popped)
         // stays `queued` on disk and is re-admitted on the next start.
         Ok(())
     }
+}
+
+/// Where [`Daemon::shutdown`] connects to wake the accept: the bound
+/// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback
+/// of the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr =
+            if addr.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() };
+        addr.set_ip(loopback);
+    }
+    addr
 }
 
 /// Scans the jobs directory, loads every persisted job into the registry
@@ -604,21 +608,47 @@ fn run_job(entry: &Arc<JobEntry>, resume: bool, metrics: &Arc<ServiceMetrics>) {
             }
         }
     };
-    entry.set_state(final_state);
-    entry.end_watches(final_state);
+    entry.finish(final_state);
 }
 
 // ---------------------------------------------------------------------
 // Connections
 // ---------------------------------------------------------------------
 
+/// What every connection handler borrows from the accept loop.
 struct ConnCtx {
     queue: Arc<JobQueue>,
     registry: Registry,
     metrics: Arc<ServiceMetrics>,
     stop: CancelToken,
-    next_id: Arc<Mutex<u64>>,
+    next_id: Mutex<u64>,
     jobs_dir: PathBuf,
+}
+
+/// Blocks in `accept` and serves each connection on a handler thread
+/// scoped to this loop, so a finished handler releases its stack as it
+/// exits. The loop ends on the first connection taken after the stop
+/// token is set (the wake from [`Daemon::shutdown`]); the scope then
+/// joins the live handlers.
+fn accept_loop(listener: &TcpListener, ctx: &ConnCtx) {
+    std::thread::scope(|scope| {
+        for conn in listener.incoming() {
+            if ctx.stop.is_cancelled() {
+                break;
+            }
+            match conn {
+                // A failed spawn drops this one connection, not the daemon.
+                Ok(stream) => {
+                    let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
+                        let _ = handle_connection(stream, ctx);
+                    });
+                }
+                // A real accept error (e.g. out of file descriptors):
+                // back off instead of spinning on it.
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
+    });
 }
 
 fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
@@ -883,8 +913,7 @@ fn cancel(id: &str, ctx: &ConnCtx) -> Result<JobState, ErrorBody> {
     if ctx.queue.remove(id) {
         // Never ran: no runner will finalize it, so do it here.
         ctx.metrics.cancelled.inc();
-        entry.set_state(JobState::Cancelled);
-        entry.end_watches(JobState::Cancelled);
+        entry.finish(JobState::Cancelled);
         return Ok(JobState::Cancelled);
     }
     // Running: the token trips the engine's next supervision check and
@@ -892,4 +921,34 @@ fn cancel(id: &str, ctx: &ConnCtx) -> Result<JobState, ErrorBody> {
     entry.cancel.cancel();
     let state = *lock(&entry.state);
     Ok(state)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// A daemon bound to `0.0.0.0` answers on loopback, and its shutdown
+    /// wakes the blocking accept through loopback.
+    #[test]
+    fn unspecified_bind_address_serves_and_shuts_down() {
+        let dir = std::env::temp_dir().join(format!("als-serve-unspec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = DaemonConfig::new(&dir);
+        cfg.addr = "0.0.0.0:0".into();
+        cfg.runners = 1;
+        let daemon = Daemon::start(cfg).unwrap();
+        assert!(daemon.addr().ip().is_unspecified());
+        let client = Client::new(format!("127.0.0.1:{}", daemon.addr().port()));
+        assert_eq!(client.http_get("/healthz").unwrap(), "ok\n");
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(daemon.shutdown().is_ok()));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(60)),
+            Ok(true),
+            "shutdown must wake the accept and return"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

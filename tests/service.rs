@@ -137,6 +137,11 @@ fn service_end_to_end() {
     // --- a fresh daemon resumes C from its journal ----------------------
     let daemon2 = Daemon::start(DaemonConfig::new(&dir)).unwrap();
     let client2 = Client::new(daemon2.addr().to_string());
+    // A finished job's watch replays its trace file, also after a restart.
+    let mut replayed: Vec<String> = Vec::new();
+    let end = client2.watch(&done_id, |line| replayed.push(line.to_string())).unwrap();
+    assert_eq!(end, JobState::Completed);
+    assert_eq!(replayed, trace_lines, "a restarted daemon replays a finished job's trace");
     wait_until("the resumed job to complete", Duration::from_secs(300), || {
         client2.status(&preempt_id).unwrap().state == JobState::Completed
     });
