@@ -33,7 +33,6 @@ pub mod blif;
 pub mod build;
 pub mod check;
 pub mod cone;
-pub mod dot;
 pub mod edit;
 pub mod io;
 pub mod lit;

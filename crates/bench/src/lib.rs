@@ -15,7 +15,7 @@
 
 use als_aig::Aig;
 use als_circuits::{benchmark, BenchmarkScale};
-use als_engine::{Flow, FlowConfig, FlowResult};
+use als_engine::{FlowConfig, FlowResult};
 use als_error::{paper_thresholds, MetricKind};
 use als_map::{map_circuit, CellLibrary};
 use als_obs::{Obs, ObsConfig};
@@ -208,15 +208,6 @@ impl ExpArgs {
 /// ADP ratio of a flow result against the original circuit.
 pub fn adp_ratio_of(result: &FlowResult, original: &Aig) -> f64 {
     als_map::adp_ratio(&result.circuit, original, &CellLibrary::new())
-}
-
-/// Runs a flow (panicking if it fails); returns
-/// `(result, adp_ratio, runtime_seconds)`.
-pub fn run_and_report(flow: &dyn Flow, original: &Aig) -> (FlowResult, f64, f64) {
-    let res = flow.run(original).expect("flow failed");
-    let ratio = adp_ratio_of(&res, original);
-    let secs = res.runtime.as_secs_f64();
-    (res, ratio, secs)
 }
 
 /// Formats a mapping line for Table I.

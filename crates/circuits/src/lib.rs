@@ -26,7 +26,6 @@
 pub mod alu;
 pub mod arith;
 pub mod butterfly;
-pub mod datapath;
 pub mod detector;
 pub mod log2;
 pub mod mult;

@@ -65,14 +65,6 @@ impl DisjointCut {
         })
     }
 
-    /// Output-sink members only.
-    pub fn output_members(&self) -> impl Iterator<Item = u32> + '_ {
-        self.members.iter().filter_map(|m| match m {
-            CutMember::Node(_) => None,
-            CutMember::Output(o) => Some(*o),
-        })
-    }
-
     /// The outputs covered by `member`: for a node member, its reachable
     /// set; for an output member, that single output.
     pub fn covered_outputs(member: CutMember, reach: &ReachMap) -> Vec<usize> {
@@ -84,7 +76,7 @@ impl DisjointCut {
 }
 
 /// Mask of a member over output indices.
-fn member_mask(member: CutMember, reach: &ReachMap) -> PackedBits {
+pub(crate) fn member_mask(member: CutMember, reach: &ReachMap) -> PackedBits {
     match member {
         CutMember::Node(t) => reach.mask(t).clone(),
         CutMember::Output(o) => {
@@ -96,10 +88,33 @@ fn member_mask(member: CutMember, reach: &ReachMap) -> PackedBits {
 }
 
 /// Expansion priority: topological rank for nodes, maximal for sinks.
-fn member_rank(member: CutMember, rank: &[u32]) -> u64 {
+pub(crate) fn member_rank(member: CutMember, rank: &[u32]) -> u64 {
     match member {
         CutMember::Node(t) => rank[t.index()] as u64,
         CutMember::Output(o) => u64::from(u32::MAX) + 1 + o as u64,
+    }
+}
+
+/// Calls `f(word, bits)` for each nonzero word of `member`'s mask, borrowing
+/// a node's mask from `reach` instead of materialising it.
+fn for_each_mask_word(member: CutMember, reach: &ReachMap, mut f: impl FnMut(usize, u64)) {
+    match member {
+        CutMember::Node(t) => {
+            for (w, &bits) in reach.mask(t).words().iter().enumerate() {
+                if bits != 0 {
+                    f(w, bits);
+                }
+            }
+        }
+        CutMember::Output(o) => f(o as usize / 64, 1 << (o % 64)),
+    }
+}
+
+/// Calls `f(output)` for each set bit of `bits`, the `w`-th mask word.
+fn for_each_bit(w: usize, mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(w * 64 + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
     }
 }
 
@@ -113,59 +128,68 @@ fn member_rank(member: CutMember, rank: &[u32]) -> u64 {
 /// loop terminates; expanding the earliest conflict keeps the cut as close
 /// to `n` as the reconvergence structure allows.
 ///
-/// `rank` must be [`als_aig::topo::topo_ranks`] for the current graph.
+/// Precisely: with the frontier ordered by rank, the first position `j`
+/// whose mask meets the union of the masks before it is the conflict, and
+/// the lowest-rank member before `j` that meets it is expanded. The
+/// frontier is kept sorted (ranks are unique, so an equal rank is a
+/// duplicate), the accepted prefix's union and a per-output owner array
+/// find that member without comparing pairs, and the scan resumes at the
+/// expanded position: the members before it are untouched and already
+/// pairwise disjoint.
+///
+/// `rank` must be a topological order of the current graph, such as
+/// [`als_aig::topo::topo_ranks`]; the cut does not depend on which one.
 /// An unused node (empty reachable set) gets an empty cut.
 pub fn closest_disjoint_cut(aig: &Aig, reach: &ReachMap, rank: &[u32], n: NodeId) -> DisjointCut {
-    struct Entry {
-        member: CutMember,
-        mask: PackedBits,
-        rank: u64,
-    }
-
-    let mut entries: Vec<Entry> = Vec::new();
-    let push = |entries: &mut Vec<Entry>, member: CutMember| {
-        if entries.iter().all(|e| e.member != member) {
-            entries.push(Entry {
-                member,
-                mask: member_mask(member, reach),
-                rank: member_rank(member, rank),
-            });
-        }
-    };
-
-    for &f in aig.fanouts(n) {
-        push(&mut entries, CutMember::Node(f));
-    }
-    for &o in aig.output_refs(n) {
-        push(&mut entries, CutMember::Output(o));
-    }
-
-    loop {
-        entries.sort_by_key(|e| e.rank);
-        // Find the first member whose mask intersects an earlier member's.
-        let mut conflict: Option<usize> = None;
-        'outer: for j in 1..entries.len() {
-            for i in 0..j {
-                if masks_intersect(&entries[i].mask, &entries[j].mask) {
-                    conflict = Some(i); // expand the earlier (lower-rank) one
-                    break 'outer;
-                }
+    let mut frontier: Vec<(u64, CutMember)> = Vec::new();
+    let push_successors = |frontier: &mut Vec<(u64, CutMember)>, u: NodeId| {
+        let nodes = aig.fanouts(u).iter().map(|&f| CutMember::Node(f));
+        let sinks = aig.output_refs(u).iter().map(|&o| CutMember::Output(o));
+        for member in nodes.chain(sinks) {
+            let key = member_rank(member, rank);
+            if let Err(at) = frontier.binary_search_by_key(&key, |e| e.0) {
+                frontier.insert(at, (key, member));
             }
         }
-        let Some(i) = conflict else { break };
-        let Entry { member, .. } = entries.remove(i);
-        let CutMember::Node(t) = member else {
+    };
+    push_successors(&mut frontier, n);
+
+    // Union of the masks of `frontier[..j]`, and for each output in it the
+    // position of the (single) member covering it.
+    let mut prefix = vec![0u64; reach.mask_words()];
+    let mut owner = vec![0u32; reach.num_outputs()];
+    let mut j = 0;
+    while j < frontier.len() {
+        let member = frontier[j].1;
+        let mut conflict = u32::MAX;
+        for_each_mask_word(member, reach, |w, bits| {
+            for_each_bit(w, bits & prefix[w], |o| conflict = conflict.min(owner[o]));
+        });
+        if conflict == u32::MAX {
+            for_each_mask_word(member, reach, |w, bits| {
+                prefix[w] |= bits;
+                for_each_bit(w, bits, |o| owner[o] = j as u32);
+            });
+            j += 1;
+            continue;
+        }
+        let i = conflict as usize;
+        for &(_, m) in &frontier[i..j] {
+            for_each_mask_word(m, reach, |w, bits| prefix[w] &= !bits);
+        }
+        let (expanded_rank, CutMember::Node(t)) = frontier.remove(i) else {
             unreachable!("two output sinks never conflict, so the earlier member is a node");
         };
-        for &f in aig.fanouts(t) {
-            push(&mut entries, CutMember::Node(f));
-        }
-        for &o in aig.output_refs(t) {
-            push(&mut entries, CutMember::Output(o));
-        }
+        // Successors rank after `t`, so they land at positions `i..`.
+        debug_assert!(
+            aig.fanouts(t).iter().all(|&f| u64::from(rank[f.index()]) > expanded_rank),
+            "rank is not a topological order"
+        );
+        push_successors(&mut frontier, t);
+        j = i;
     }
 
-    let mut members: Vec<CutMember> = entries.into_iter().map(|e| e.member).collect();
+    let mut members: Vec<CutMember> = frontier.into_iter().map(|e| e.1).collect();
     members.sort();
     DisjointCut { members }
 }

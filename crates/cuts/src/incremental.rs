@@ -11,9 +11,11 @@
 //! ```
 //!
 //! which [`violated_set`] computes from the [`EditRecord`] produced by
-//! [`als_aig::edit::replace`]. [`CutState::update_after`] then refreshes
-//! reachability masks and disjoint cuts for `S_v` only — the paper's
-//! phase-two step 1.
+//! [`als_aig::edit::replace`]. [`CutState::update_after_edits`] then
+//! refreshes reachability masks and disjoint cuts for `S_v` only — the
+//! paper's phase-two step 1. One applied LAC yields several records when
+//! constant folding follows it; they all describe the same final graph, so
+//! the update runs once over the union of their `S_v` sets.
 
 use std::sync::{Arc, Mutex};
 
@@ -85,7 +87,13 @@ impl PlanCell {
 /// Computes `S_v`: the live nodes whose cut preservation condition may be
 /// violated by `edit`.
 pub fn violated_set(aig: &Aig, edit: &EditRecord) -> Vec<NodeId> {
-    let seeds: Vec<NodeId> = edit.changed_nodes().collect();
+    violated_union(aig, std::slice::from_ref(edit))
+}
+
+/// The union of [`violated_set`] over `edits`, all taken on the current
+/// graph.
+fn violated_union(aig: &Aig, edits: &[EditRecord]) -> Vec<NodeId> {
+    let seeds: Vec<NodeId> = edits.iter().flat_map(EditRecord::changed_nodes).collect();
     let mut sv = als_aig::cone::tfi_cone_union(aig, &seeds);
     sv.retain(|&n| aig.is_live(n));
     sv
@@ -94,7 +102,7 @@ pub fn violated_set(aig: &Aig, edit: &EditRecord) -> Vec<NodeId> {
 /// Reachability masks, topological ranks and disjoint cuts for every live
 /// node — the complete "step 1" state of an analysis iteration, refreshable
 /// either from scratch ([`CutState::compute`], phase one) or incrementally
-/// ([`CutState::update_after`], phase two).
+/// ([`CutState::update_after_edits`], phase two).
 #[derive(Clone, Debug)]
 pub struct CutState {
     reach: ReachMap,
@@ -102,7 +110,7 @@ pub struct CutState {
     cuts: Vec<Option<DisjointCut>>,
     /// Per-node CPM wave (`NO_WAVE` when none), maintained alongside the
     /// cuts: fully derived by [`CutState::compute_with`], incrementally
-    /// refreshed for `S_v` by [`CutState::update_after`].
+    /// refreshed for `S_v` by [`CutState::update_after_edits`].
     cpm_wave: Vec<u32>,
     /// Cached full-sweep schedule, dropped whenever an update changes any
     /// wave or invalidates the stored ranks.
@@ -183,67 +191,78 @@ impl CutState {
         })
     }
 
-    /// Incremental refresh after a LAC: recomputes reachability and cuts
-    /// only for the nodes in `S_v`, reusing everything else.
+    /// Incremental refresh after one edit: [`CutState::update_after_edits`]
+    /// with a single record.
+    pub fn update_after(&mut self, aig: &Aig, edit: &EditRecord) {
+        self.update_after_edits(aig, std::slice::from_ref(edit));
+    }
+
+    /// Incremental refresh after an applied LAC: recomputes reachability
+    /// and cuts only for the nodes in `S_v`, reusing everything else.
+    ///
+    /// `edits` are all records the LAC produced (the LAC's own, then any
+    /// constant folds), already applied to `aig`. Every record's `S_v` is
+    /// taken on this final graph, so the update runs once over their union
+    /// rather than once per record.
     ///
     /// Topological ranks are *kept* rather than recomputed whenever the
-    /// edit provably preserves their validity, which makes the whole update
+    /// edits provably preserve their validity, which makes the whole update
     /// O(|S_v|)-ish instead of O(V+E) per LAC (the point of the paper's
     /// phase-two step 1). The argument: `replace(target, rep)` only adds
     /// fanin edges `rep → u` for `u` in `target`'s former fanout list (all
     /// other edges are deletions, which never invalidate a topological
-    /// order). So the stored ranks remain a valid order iff
-    /// `rank(rep) < rank(u)` for every current fanout `u` of `rep` — an
-    /// O(fanout(rep)) check. Constant and input replacements always pass
-    /// (rank 0-ish); a substitution by a topologically late node falls back
-    /// to a full rank refresh, recorded in [`CutState::last_rank_work`].
-    pub fn update_after(&mut self, aig: &Aig, edit: &EditRecord) {
-        let sv = violated_set(aig, edit);
-        let rep = edit.replacement.node();
-        let still_valid = self.ranks.len() == aig.num_nodes() && {
-            let rep_rank = self.ranks[rep.index()];
-            aig.fanouts(rep).iter().all(|&u| rep_rank < self.ranks[u.index()])
-        };
+    /// order). Every edge of the final graph that the stored ranks have not
+    /// seen therefore leaves some record's replacement, and the ranks remain
+    /// a valid order iff `rank(rep) < rank(u)` for every current fanout `u`
+    /// of every replacement `rep` — an O(Σ fanout(rep)) check. Constant and
+    /// input replacements always pass (rank 0-ish); a substitution by a
+    /// topologically late node falls back to a full rank refresh, recorded
+    /// in [`CutState::last_rank_work`].
+    pub fn update_after_edits(&mut self, aig: &Aig, edits: &[EditRecord]) {
+        let reps = || edits.iter().map(|e| e.replacement.node());
+        let removed = || edits.iter().flat_map(|e| e.removed.iter().copied());
+        let still_valid = self.ranks.len() == aig.num_nodes()
+            && reps().all(|rep| {
+                let rep_rank = self.ranks[rep.index()];
+                aig.fanouts(rep).iter().all(|&u| rep_rank < self.ranks[u.index()])
+            });
         if still_valid {
             // Removed nodes keep no rank: nothing may sort against them.
-            for &dead in &edit.removed {
+            for dead in removed() {
                 self.ranks[dead.index()] = u32::MAX;
             }
-            self.last_rank_work = edit.removed.len() + aig.fanouts(rep).len();
+            self.last_rank_work =
+                removed().count() + reps().map(|rep| aig.fanouts(rep).len()).sum::<usize>();
         } else {
             self.ranks = als_aig::topo::topo_ranks(aig);
             self.last_rank_work = aig.num_nodes();
         }
-        self.reach.recompute_for_ranked(aig, &sv, &self.ranks);
-        for &dead in &edit.removed {
-            self.cuts[dead.index()] = None;
-        }
-        for &n in &sv {
-            self.cuts[n.index()] = Some(closest_disjoint_cut(aig, &self.reach, &self.ranks, n));
-        }
-        // Incremental wave maintenance, confined to S_v. Soundness: if a
-        // node n outside S_v had a cut member t inside S_v, then n lies in
-        // t's TFI; S_v is a union of TFI cones, so n would be in S_v too —
-        // contradiction. Hence waves outside S_v cannot change, and
-        // refreshing S_v in rank-descending order (members first) restores
-        // the full invariant.
         let mut wave_changed = false;
-        for &dead in &edit.removed {
+        for dead in removed() {
+            self.cuts[dead.index()] = None;
             if self.cpm_wave[dead.index()] != NO_WAVE {
                 self.cpm_wave[dead.index()] = NO_WAVE;
                 wave_changed = true;
             }
         }
-        let mut sv_ranked: Vec<(u32, NodeId)> =
-            sv.iter().map(|&n| (self.ranks[n.index()], n)).collect();
-        sv_ranked.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-        for &(_, n) in &sv_ranked {
-            let new_wave =
-                self.cuts[n.index()].as_ref().map_or(NO_WAVE, |cut| wave_of(cut, &self.cpm_wave));
+        // One pass in reverse topological order (rank descending). Each
+        // node's fanouts, and so its whole TFO, come before it, so its reach
+        // mask, then its cut (which reads the masks of its TFO), then its
+        // wave (which reads its cut members' waves) see refreshed inputs.
+        // `S_v` is a union of TFI cones, hence closed under "a fanout's mask
+        // changed". Waves outside `S_v` cannot change: a node outside with a
+        // cut member inside would lie in that member's TFI, so in `S_v`.
+        let mut sv = violated_union(aig, edits);
+        sv.sort_unstable_by_key(|n| std::cmp::Reverse(self.ranks[n.index()]));
+        for &n in &sv {
+            self.reach.recompute_node(aig, n);
+            let cut = closest_disjoint_cut(aig, &self.reach, &self.ranks, n);
+            let new_wave = wave_of(&cut, &self.cpm_wave);
             if self.cpm_wave[n.index()] != new_wave {
                 self.cpm_wave[n.index()] = new_wave;
                 wave_changed = true;
             }
+            self.cuts[n.index()] = Some(cut);
         }
         // The cached plan survives an update only when nothing it encodes
         // moved: no wave changed (covers removals and revived nodes, whose
@@ -325,16 +344,16 @@ impl CutState {
     }
 
     /// Number of nodes the last (full or incremental) update touched —
-    /// `|S_v|` for incremental updates, the live-node count after a full
-    /// compute. Feeds the self-adaption runtime model.
+    /// `|S_v|` (the union over the update's records) for incremental
+    /// updates, the live-node count after a full compute.
     pub fn last_update_size(&self) -> usize {
         self.last_update_size
     }
 
     /// Number of rank entries the last update wrote: `|removed| +
-    /// |fanout(replacement)|` when the stored topological ranks could be
-    /// kept, the full node count when a fallback recompute (or a full
-    /// [`CutState::compute`]) ran. The regression tests use this to pin the
+    /// |fanout(replacement)|`, summed over the update's records, when the
+    /// stored topological ranks could be kept, the full node count when a
+    /// fallback recompute (or a full [`CutState::compute`]) ran. The regression tests use this to pin the
     /// incremental update's cost to `|S_v|` rather than `|V|`.
     pub fn last_rank_work(&self) -> usize {
         self.last_rank_work
@@ -599,6 +618,44 @@ mod tests {
             assert_eq!(state.cut(id), fresh.cut(id), "cut of {id}");
         }
         state.spot_check(&aig, 64, 11).unwrap();
+    }
+
+    #[test]
+    fn batch_with_late_substitution_and_folds_matches_fresh_compute() {
+        // One LAC's records as a flow produces them: a substitution by a
+        // topologically late node, which the stored ranks cannot order,
+        // then the constant folds it leaves behind. The single batched
+        // update must take the full rank refresh and land on a fresh
+        // compute.
+        let mut aig = Aig::new("batch");
+        let x = aig.add_inputs("x", 4);
+        let t = aig.and(x[0], x[1]);
+        let u = aig.and(t, x[2]);
+        aig.add_output(u, "o0");
+        let mut s = aig.and(x[2], x[3]);
+        for _ in 0..4 {
+            s = aig.and(s, x[3]);
+        }
+        aig.add_output(s, "o1");
+        // v = t & !s folds to 0 once t is s, and then w = v & x0 folds too.
+        let v = aig.and(t, !s);
+        let w = aig.and(v, x[0]);
+        aig.add_output(w, "o2");
+        let mut state = CutState::compute(&aig);
+        let mut records = vec![replace(&mut aig, t.node(), s)];
+        records.extend(als_aig::simplify::propagate_constants_from(&mut aig, &[s.node()]));
+        assert_eq!(records.len(), 3, "substitution, then folds of v and w");
+        state.update_after_edits(&aig, &records);
+        assert_eq!(state.last_rank_work(), aig.num_nodes(), "late substitution forces a refresh");
+        let fresh = CutState::compute(&aig);
+        for id in aig.iter_live() {
+            assert_eq!(state.reach().mask(id), fresh.reach().mask(id), "reach of {id}");
+            assert_eq!(state.cut(id), fresh.cut(id), "cut of {id}");
+            assert_eq!(state.cpm_wave(id), fresh.cpm_wave(id), "wave of {id}");
+        }
+        for dead in [t, v, w] {
+            assert!(state.get_cut(dead.node()).is_none() && state.cpm_wave(dead.node()).is_none());
+        }
     }
 
     #[test]

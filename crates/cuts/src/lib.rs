@@ -11,14 +11,16 @@
 //! The dual-phase paper's phase-two acceleration rests on the *cut
 //! preservation condition* (CPC): after a LAC, only nodes whose TFO cone
 //! structure changed can lose their disjoint cut. [`incremental`] computes
-//! that set (`S_v`) from the [`als_aig::EditRecord`] and refreshes exactly
-//! those entries of the [`CutState`].
+//! that set (`S_v`) from the LAC's [`als_aig::EditRecord`]s and refreshes
+//! exactly those entries of the [`CutState`].
 //!
 //! * [`reach`] — per-node reachable-output bitsets; under the no-dangling
 //!   invariant two TFO cones intersect **iff** their reachable-output sets
 //!   intersect, which makes disjointness tests cheap,
 //! * [`disjoint`] — the closest-disjoint-cut construction,
 //! * [`incremental`] — `S_c` / `S_v` computation and in-place cut refresh,
+//!   one per applied LAC over the union of its edit records,
+//! * [`mod@reference`] — the pairwise-scan cut loop, an oracle for tests,
 //! * [`strash`] — deterministic word-level hashing used to key functionally
 //!   identical LAC candidates for structural deduplication.
 
@@ -30,6 +32,8 @@
 pub mod disjoint;
 pub mod incremental;
 pub mod reach;
+#[doc(hidden)]
+pub mod reference;
 pub mod strash;
 
 pub use disjoint::{closest_disjoint_cut, CutMember, DisjointCut};

@@ -64,15 +64,6 @@ impl ReachMap {
             return;
         }
         let rank = als_aig::topo::topo_ranks(aig);
-        self.recompute_for_ranked(aig, nodes, &rank);
-    }
-
-    /// [`ReachMap::recompute_for`] with caller-supplied topological ranks,
-    /// so an incremental maintainer that already holds current ranks (e.g.
-    /// [`crate::CutState`]) does not pay an O(V+E) rank recomputation per
-    /// edit — the update then costs O(|nodes| log |nodes|) plus the
-    /// touched masks.
-    pub fn recompute_for_ranked(&mut self, aig: &Aig, nodes: &[NodeId], rank: &[u32]) {
         let mut sorted: Vec<NodeId> = nodes.to_vec();
         sorted.sort_by_key(|n| std::cmp::Reverse(rank[n.index()]));
         for id in sorted {

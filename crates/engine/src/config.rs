@@ -272,23 +272,10 @@ impl FlowConfig {
         self
     }
 
-    /// Replaces the guarded-execution settings wholesale.
-    pub fn with_guard(mut self, guard: GuardConfig) -> FlowConfig {
-        self.guard = guard;
-        self
-    }
-
     /// Enables strict mode: every commit is re-validated on an
     /// independent, larger pattern set.
     pub fn with_strict(mut self) -> FlowConfig {
         self.guard.strict = true;
-        self
-    }
-
-    /// Sets how many rejected candidates a selection may roll back before
-    /// the iteration gives up.
-    pub fn with_max_retries(mut self, retries: usize) -> FlowConfig {
-        self.guard.max_retries = retries;
         self
     }
 
@@ -588,13 +575,6 @@ impl FlowConfigBuilder {
     /// Attaches an observability handle.
     pub fn obs(mut self, obs: Obs) -> FlowConfigBuilder {
         self.cfg.obs = obs;
-        self
-    }
-
-    /// Switches to the paper's large-circuit setup (`M = 150`, `N = 50`,
-    /// constant LACs only).
-    pub fn large_circuit(mut self) -> FlowConfigBuilder {
-        self.cfg = self.cfg.for_large_circuit();
         self
     }
 

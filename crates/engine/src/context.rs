@@ -34,7 +34,7 @@ pub struct EngineMetrics {
     pub cut_recomputes: Counter,
     /// CPC-violating nodes (`|S_v|`) repaired by incremental cut updates.
     pub cpc_violations: Counter,
-    /// Per-update `|S_v|` distribution.
+    /// Per-LAC `|S_v|` distribution (the union over the LAC's records).
     pub s_v_size: Histogram,
     /// Per-round `|S_cand|` distribution.
     pub s_cand_size: Histogram,
@@ -83,10 +83,9 @@ impl EngineMetrics {
                 .counter("als_cut_recomputations_total", "full disjoint-cut recomputations"),
             cpc_violations: obs.counter(
                 "als_cpc_violations_total",
-                "CPC-violating nodes repaired by incremental cut updates",
+                "CPC-violating nodes repaired by incremental cut updates, |S_v| per applied LAC",
             ),
-            s_v_size: obs
-                .histogram("als_s_v_size", "CPC-violating set size |S_v| per incremental update"),
+            s_v_size: obs.histogram("als_s_v_size", "CPC-violating set size |S_v| per applied LAC"),
             s_cand_size: obs
                 .histogram("als_s_cand_size", "candidate node set size |S_cand| per round"),
             lacs_evaluated: obs

@@ -387,13 +387,9 @@ impl Flow for DualPhaseFlow {
                 recs.iter().flat_map(|r| r.removed.iter().copied()).collect();
             s_cand.retain(|n| !removed.contains(n));
             let mut span = ctx.obs().span("cuts");
-            let mut s_v = 0u64;
-            for rec in &recs {
-                cuts.update_after(&ctx.aig, rec);
-                let sz = cuts.last_update_size() as u64;
-                s_v += sz;
-                ctx.metrics.s_v_size.observe(sz);
-            }
+            cuts.update_after_edits(&ctx.aig, &recs);
+            let s_v = cuts.last_update_size() as u64;
+            ctx.metrics.s_v_size.observe(s_v);
             span.count("s_v", s_v);
             ctx.times.cuts += span.finish();
             ctx.metrics.cpc_violations.add(s_v);
@@ -492,13 +488,9 @@ impl Flow for DualPhaseFlow {
                 s_cand.retain(|n| !removed.contains(n));
                 // Step 1 (incremental): refresh cuts for S_v only.
                 let mut span = ctx.obs().span("cuts");
-                let mut s_v = 0u64;
-                for rec in &recs {
-                    cuts.update_after(&ctx.aig, rec);
-                    let sz = cuts.last_update_size() as u64;
-                    s_v += sz;
-                    ctx.metrics.s_v_size.observe(sz);
-                }
+                cuts.update_after_edits(&ctx.aig, &recs);
+                let s_v = cuts.last_update_size() as u64;
+                ctx.metrics.s_v_size.observe(s_v);
                 span.count("s_v", s_v);
                 ctx.times.cuts += span.finish();
                 ctx.metrics.cpc_violations.add(s_v);

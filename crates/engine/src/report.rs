@@ -227,15 +227,6 @@ impl FlowResult {
     pub fn final_nodes(&self) -> usize {
         self.circuit.num_ands()
     }
-
-    /// Average wall-clock time per applied LAC.
-    pub fn time_per_lac(&self) -> Duration {
-        if self.iterations.is_empty() {
-            self.runtime
-        } else {
-            self.runtime / self.iterations.len() as u32
-        }
-    }
 }
 
 #[cfg(test)]

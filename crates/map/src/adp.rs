@@ -3,7 +3,7 @@
 use als_aig::Aig;
 
 use crate::library::CellLibrary;
-use crate::mapper::{map_circuit, Mapping};
+use crate::mapper::map_circuit;
 
 /// Maps `aig` and returns its area-delay product.
 pub fn adp(aig: &Aig, lib: &CellLibrary) -> f64 {
@@ -20,12 +20,6 @@ pub fn adp_ratio(approx: &Aig, original: &Aig, lib: &CellLibrary) -> f64 {
         return 1.0;
     }
     adp(approx, lib) / orig
-}
-
-/// Maps both circuits and returns `(approx, original)` mappings — useful
-/// when a report needs area and delay separately.
-pub fn map_pair(approx: &Aig, original: &Aig, lib: &CellLibrary) -> (Mapping, Mapping) {
-    (map_circuit(approx, lib), map_circuit(original, lib))
 }
 
 #[cfg(test)]

@@ -19,10 +19,8 @@
 
 pub mod adp;
 pub mod library;
-pub mod lut;
 pub mod mapper;
 
 pub use adp::{adp, adp_ratio};
 pub use library::{Cell, CellKind, CellLibrary};
-pub use lut::{map_luts, LutMapping};
 pub use mapper::{map_circuit, map_netlist, verify_mapping, MappedCell, Mapping};

@@ -248,7 +248,6 @@ pub struct Daemon {
     cfg: DaemonConfig,
     queue: Arc<JobQueue>,
     registry: Registry,
-    metrics: Arc<ServiceMetrics>,
     stop: CancelToken,
     threads: Vec<JoinHandle<()>>,
 }
@@ -287,7 +286,7 @@ impl Daemon {
         let ctx = ConnCtx {
             queue: queue.clone(),
             registry: registry.clone(),
-            metrics: metrics.clone(),
+            metrics,
             stop: stop.clone(),
             next_id: Mutex::new(max_recovered + 1),
             jobs_dir,
@@ -298,7 +297,7 @@ impl Daemon {
                 .spawn(move || accept_loop(&listener, &ctx))?,
         );
 
-        Ok(Daemon { addr, cfg, queue, registry, metrics, stop, threads })
+        Ok(Daemon { addr, cfg, queue, registry, stop, threads })
     }
 
     /// The bound listen address.
@@ -314,14 +313,6 @@ impl Daemon {
     /// Current status of every known job, submission order.
     pub fn jobs(&self) -> Vec<JobStatus> {
         lock(&self.registry).values().map(|e| e.status()).collect()
-    }
-
-    /// The service-level Prometheus exposition (what `GET /metrics`
-    /// serves).
-    pub fn metrics_text(&self) -> String {
-        self.metrics.queue_depth.set(self.queue.depth() as u64);
-        self.metrics.running.set(self.queue.running() as u64);
-        self.metrics.obs.prometheus_text()
     }
 
     /// Drains gracefully: stops admitting, cancels running jobs (their

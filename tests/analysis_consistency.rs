@@ -3,12 +3,15 @@
 //! circuits, and every incremental path must agree with its from-scratch
 //! counterpart.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use dualphase_als::aig::{Aig, NodeId};
-use dualphase_als::circuits::{benchmark, BenchmarkScale};
+use dualphase_als::circuits::{benchmark, benchmark_names, BenchmarkScale};
 use dualphase_als::cpm::reference::{brute_force_row, rows_equivalent};
 use dualphase_als::cpm::{compute_full, compute_partial};
 use dualphase_als::cuts::disjoint::verify_cut;
-use dualphase_als::cuts::CutState;
+use dualphase_als::cuts::{closest_disjoint_cut, CutState, ReachMap};
 use dualphase_als::lac::{constant_lacs, Lac};
 use dualphase_als::sim::{PatternSet, Simulator};
 
@@ -24,6 +27,58 @@ fn all_cuts_of_benchmarks_are_valid_disjoint_cuts() {
         for n in aig.iter_live() {
             verify_cut(&aig, cuts.reach(), n, cuts.cut(n))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+}
+
+/// A topological order unlike `topo_ranks`'s depth-first one: Kahn's
+/// algorithm, taking a random ready node at every step.
+fn kahn_ranks(aig: &Aig, seed: u64) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pending = vec![0u32; aig.num_nodes()];
+    let mut ready = Vec::new();
+    for n in aig.iter_live() {
+        if aig.node(n).is_and() {
+            pending[n.index()] = 2; // one fanout entry per fanin slot
+        } else {
+            ready.push(n);
+        }
+    }
+    let mut ranks = vec![u32::MAX; aig.num_nodes()];
+    let mut next = 0;
+    while !ready.is_empty() {
+        let u = ready.swap_remove(rng.random_below(ready.len() as u64) as usize);
+        ranks[u.index()] = next;
+        next += 1;
+        for &f in aig.fanouts(u) {
+            pending[f.index()] -= 1;
+            if pending[f.index()] == 0 {
+                ready.push(f);
+            }
+        }
+    }
+    ranks
+}
+
+#[test]
+fn cut_loop_matches_pairwise_reference_under_any_topological_order() {
+    use dualphase_als::cuts::reference;
+    for name in benchmark_names() {
+        let aig = benchmark(name, BenchmarkScale::Reduced);
+        let reach = ReachMap::compute(&aig);
+        let ranks = dualphase_als::aig::topo::topo_ranks(&aig);
+        // The incremental state keeps old ranks while a fresh compute takes
+        // new ones, so a node's cut must not depend on the order chosen.
+        let other = kahn_ranks(&aig, name.len() as u64);
+        for n in aig.iter_live() {
+            let cut = closest_disjoint_cut(&aig, &reach, &ranks, n);
+            let expect = reference::closest_disjoint_cut(&aig, &reach, &ranks, n);
+            assert_eq!(cut, expect, "{name}: cut of {n}");
+            assert_eq!(
+                closest_disjoint_cut(&aig, &reach, &other, n),
+                cut,
+                "{name}: cut of {n} under a second topological order"
+            );
         }
     }
 }

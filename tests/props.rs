@@ -18,19 +18,30 @@ struct Op {
     c: u16,
 }
 
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u8..5, any::<u16>(), any::<u16>(), any::<u16>()).prop_map(|(kind, a, b, c)| Op {
+        kind,
+        a,
+        b,
+        c,
+    })
+}
+
 fn arb_ops() -> impl Strategy<Value = (usize, Vec<Op>, u8)> {
-    (
-        4usize..8,
-        proptest::collection::vec(
-            (0u8..5, any::<u16>(), any::<u16>(), any::<u16>()).prop_map(|(kind, a, b, c)| Op {
-                kind,
-                a,
-                b,
-                c,
-            }),
-            5..50,
-        ),
-        1u8..4,
+    (4usize..8, proptest::collection::vec(arb_op(), 5..50), 1u8..4)
+}
+
+/// Like [`arb_ops`], but one circuit in three drives more than 64 outputs,
+/// so its reach masks span more than one word.
+fn arb_ops_some_wide() -> impl Strategy<Value = (usize, Vec<Op>, u8)> {
+    (arb_ops(), 0u8..3, proptest::collection::vec(arb_op(), 70..100), 65u8..100).prop_map(
+        |((ni, ops, no), wide, more, many)| {
+            if wide == 0 {
+                (ni, [ops, more].concat(), many)
+            } else {
+                (ni, ops, no)
+            }
+        },
     )
 }
 
@@ -140,6 +151,43 @@ proptest! {
         for n in aig.iter_live() {
             prop_assert_eq!(state.reach().mask(n), fresh.reach().mask(n));
             prop_assert_eq!(state.cut(n), fresh.cut(n));
+        }
+    }
+
+    #[test]
+    fn batched_cut_update_equals_fresh_compute(
+        (ni, ops, no) in arb_ops_some_wide(),
+        picks in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        use dualphase_als::aig::simplify::propagate_constants_from;
+        use dualphase_als::cuts::reference;
+        let mut aig = build_circuit(ni, &ops, no);
+        let mut state = CutState::compute(&aig);
+        for (pick, mode) in picks {
+            let Some(lac) = choose_lac(&aig, pick, mode) else { break };
+            // As a flow applies a LAC: the edit, then the folds it enables,
+            // all handed to one update.
+            let mut records = vec![lac.apply(&mut aig)];
+            let seed = records[0].replacement.node();
+            records.extend(propagate_constants_from(&mut aig, &[seed]));
+            state.update_after_edits(&aig, &records);
+            let fresh = CutState::compute(&aig);
+            for n in aig.iter_live() {
+                prop_assert_eq!(state.reach().mask(n), fresh.reach().mask(n), "reach of {}", n);
+                prop_assert_eq!(state.cut(n), fresh.cut(n), "cut of {}", n);
+                prop_assert_eq!(state.cpm_wave(n), fresh.cpm_wave(n), "wave of {}", n);
+                // The wide circuits are the only multi-word masks the cut
+                // loop meets in tests: hold it to the pairwise reference.
+                let expect = reference::closest_disjoint_cut(&aig, fresh.reach(), fresh.ranks(), n);
+                prop_assert_eq!(fresh.cut(n), &expect, "reference cut of {}", n);
+            }
+            // Within a wave, nodes are ordered by rank, and the incremental
+            // state keeps old ranks: compare membership.
+            let members = |s: &CutState| -> Vec<Vec<NodeId>> {
+                let plan = s.full_plan(&aig).expect("every live node has a cut");
+                plan.waves().iter().map(|w| { let mut w = w.clone(); w.sort(); w }).collect()
+            };
+            prop_assert_eq!(members(&state), members(&fresh));
         }
     }
 
