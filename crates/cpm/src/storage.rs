@@ -268,22 +268,6 @@ impl<'a> RowView<'a> {
         let i = entries.binary_search_by_key(&o, |e| e.output).ok()?;
         Some(self.cpm.entry_bits(self.start + i))
     }
-
-    /// Deterministic structural fingerprint of the row: FNV-1a over every
-    /// entry's output index, nonzero window and windowed words. Equal rows
-    /// (per [`PartialEq`]) hash equal — windows are derived exactly from
-    /// content in [`Cpm::set_row`], and words outside the window are zero —
-    /// so the fingerprint is a sound dedup filter; callers must still
-    /// confirm equality exactly before merging candidates.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = als_cuts::WordHasher::new();
-        for (o, bits) in self.iter() {
-            h.write_u64(u64::from(o));
-            h.write_u64(bits.nz_begin() as u64);
-            h.write_words(&bits.words()[bits.nz_begin()..bits.nz_end()]);
-        }
-        h.finish()
-    }
 }
 
 impl PartialEq for RowView<'_> {

@@ -20,9 +20,7 @@
 //! * [`disjoint`] — the closest-disjoint-cut construction,
 //! * [`incremental`] — `S_c` / `S_v` computation and in-place cut refresh,
 //!   one per applied LAC over the union of its edit records,
-//! * [`mod@reference`] — the pairwise-scan cut loop, an oracle for tests,
-//! * [`strash`] — deterministic word-level hashing used to key functionally
-//!   identical LAC candidates for structural deduplication.
+//! * [`mod@reference`] — the pairwise-scan cut loop, an oracle for tests.
 
 // Hot-path analysis code must surface failures as values, not panics: a
 // stray `unwrap()` here aborts a whole synthesis run.
@@ -34,9 +32,7 @@ pub mod incremental;
 pub mod reach;
 #[doc(hidden)]
 pub mod reference;
-pub mod strash;
 
 pub use disjoint::{closest_disjoint_cut, CutMember, DisjointCut};
 pub use incremental::{violated_set, CpmPlan, CutState};
 pub use reach::ReachMap;
-pub use strash::{hash_words, WordHasher};

@@ -1,11 +1,12 @@
 //! Shared per-run state and the evaluation/selection/application kernel
 //! used by every flow.
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use als_aig::{Aig, EditRecord, NodeId};
-use als_cpm::{Cpm, FlipSim};
-use als_error::{unsigned_weights, ErrorState, FlipVec, SparseFlip};
+use als_cpm::{Cpm, FlipSim, RowView};
+use als_error::{unsigned_weights, ErrorState, FlipVec, RowDeltas, SparseFlip};
 use als_lac::Lac;
 use als_obs::{Counter, Histogram, Obs};
 use als_par::{SchedConfig, WorkerPool};
@@ -50,11 +51,6 @@ pub struct EngineMetrics {
     pub iterations: Counter,
     /// Incremental phase-two rounds completed.
     pub phase2_rounds: Counter,
-    /// Candidates that shared a structural class with an earlier one —
-    /// evaluations saved by deduplication.
-    pub dedup_hits: Counter,
-    /// Class representatives actually evaluated after deduplication.
-    pub dedup_reps: Counter,
     /// Runs that ended by natural convergence.
     pub stop_converged: Counter,
     /// Runs stopped by the `max_lacs` safety cap.
@@ -101,14 +97,6 @@ impl EngineMetrics {
             iterations: obs.counter("als_iterations_total", "applied LACs (committed iterations)"),
             phase2_rounds: obs
                 .counter("als_phase2_rounds_total", "incremental phase-two rounds completed"),
-            dedup_hits: obs.counter(
-                "als_lac_dedup_hits_total",
-                "candidate evaluations saved by structural deduplication",
-            ),
-            dedup_reps: obs.counter(
-                "als_lac_dedup_reps_total",
-                "class representatives evaluated after structural deduplication",
-            ),
             stop_converged: obs
                 .counter("als_stop_converged_total", "runs ended by natural convergence"),
             stop_lac_limit: obs
@@ -185,48 +173,6 @@ pub struct Ctx {
     #[cfg(feature = "fault-inject")]
     faults: crate::faultplan::FaultPlan,
     started: Instant,
-}
-
-/// Evaluates one LAC against the CPM and error state (no mutation).
-///
-/// `d` and `flips` are caller-owned scratch: the change vector is written
-/// into `d` in place, and the CPM row's arena slices are collected into
-/// `flips` as borrowed views, so a candidate evaluation allocates nothing.
-/// The fused [`ErrorState::eval_flips_sparse`] kernel then streams
-/// `d ∧ P[n][o]` word-by-word with zero-word skipping — bit-identical to
-/// materialising the flip vectors and calling `eval_flips`.
-///
-/// `ALS_SIMD=0` (see [`als_sim::kernel::simd_enabled`]) selects that
-/// materialising reference instead: it shares no code with the fused
-/// kernel and allocates per candidate, so it serves as the end-to-end
-/// oracle for the fused path.
-fn eval_one<'a>(
-    aig: &Aig,
-    sim: &Simulator,
-    state: &ErrorState,
-    cpm: &'a Cpm,
-    lac: &Lac,
-    d: &mut PackedBits,
-    flips: &mut Vec<SparseFlip<'a>>,
-) -> Option<Evaluated> {
-    let row = cpm.row(lac.target)?;
-    lac.change_vector_into(sim, d);
-    let error_after = if als_sim::kernel::simd_enabled() {
-        flips.clear();
-        flips.extend(row.iter().map(|(o, bits)| SparseFlip { output: o as usize, bits }));
-        state.eval_flips_sparse(d, flips)
-    } else {
-        let dense: Vec<FlipVec> = row
-            .iter()
-            .filter_map(|(o, p)| {
-                let bits = p.and(d);
-                (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
-            })
-            .collect();
-        state.eval_flips(&dense)
-    };
-    let saving = als_lac::area_saving(aig, lac.target);
-    Some(Evaluated { lac: *lac, error_after, saving })
 }
 
 impl Ctx {
@@ -339,17 +285,21 @@ impl Ctx {
     /// Evaluates candidate LACs against the CPM, in parallel when the
     /// configuration asked for worker threads (the paper's multi-threaded
     /// error estimation). Candidates without a CPM row (unreachable
-    /// targets) are skipped. Result order is deterministic regardless of
-    /// the thread count.
+    /// targets) are skipped. Result order is the input order, regardless
+    /// of the thread count.
     ///
-    /// Functionally identical candidates — equal change vector `D` at
-    /// targets with equal CPM rows — yield the same estimated error, so
-    /// they are partitioned into structural classes first (keyed by
-    /// `(hash(D), row fingerprint)`, confirmed exactly before merging) and
-    /// only one representative per class goes through the batch kernel.
-    /// The others inherit its `error_after`; area saving is per-candidate
-    /// (class members may have different targets). The result is identical
-    /// to evaluating every candidate individually.
+    /// Work is per target: candidates are grouped by target in
+    /// first-appearance order and the pool maps over the targets. Each
+    /// target builds its [`RowDeltas`] table once from its CPM row, and
+    /// each LAC at it costs one masked sum over `D ∧ U`
+    /// ([`ErrorState::error_with`]) — bit-identical to materialising the
+    /// flip vectors and calling [`ErrorState::eval_flips`]. The area
+    /// saving is also computed once per target.
+    ///
+    /// `ALS_SIMD=0` (see [`als_sim::kernel::simd_enabled`]) prices every
+    /// candidate with that materialising reference instead, inside the
+    /// same per-target loop. It shares no code with the table and
+    /// allocates per candidate, so it serves as the end-to-end oracle.
     pub fn evaluate_lacs(
         &mut self,
         cpm: &Cpm,
@@ -361,73 +311,76 @@ impl Ctx {
         let (aig, sim, state) = (&self.aig, &self.sim, &self.state);
         let num_words = sim.num_words();
 
-        // Serial keying pre-pass: one change vector + hash per candidate,
-        // with the row fingerprint memoised per target node. The tail
-        // lanes of `D` are masked before hashing: the eval kernels mask
-        // them identically, so candidates differing only in garbage tail
-        // bits are functionally identical and must share a class.
-        let tail = als_sim::tail_mask(state.num_patterns());
-        let mut d = PackedBits::zeros(num_words);
-        let mut d_arena: Vec<u64> = vec![0; lacs.len() * num_words];
-        let mut keys: Vec<Option<(u64, u64)>> = Vec::with_capacity(lacs.len());
-        let mut fp_memo: std::collections::HashMap<NodeId, u64> = std::collections::HashMap::new();
+        // Candidate indices per target with a CPM row, targets in order of
+        // first appearance.
+        let mut group_of: HashMap<NodeId, Option<usize>> = HashMap::new();
+        let mut groups: Vec<(NodeId, RowView<'_>, Vec<usize>)> = Vec::new();
         for (i, lac) in lacs.iter().enumerate() {
-            let Some(row) = cpm.row(lac.target) else {
-                keys.push(None);
-                continue;
-            };
-            lac.change_vector_into(sim, &mut d);
-            let dst = &mut d_arena[i * num_words..(i + 1) * num_words];
-            dst.copy_from_slice(d.words());
-            if let Some(last) = dst.last_mut() {
-                *last &= tail;
+            let group = *group_of.entry(lac.target).or_insert_with(|| {
+                let row = cpm.row(lac.target)?;
+                groups.push((lac.target, row, Vec::new()));
+                Some(groups.len() - 1)
+            });
+            if let Some(g) = group {
+                groups[g].2.push(i);
             }
-            let fp = *fp_memo.entry(lac.target).or_insert_with(|| row.fingerprint());
-            keys.push(Some((als_cuts::hash_words(dst), fp)));
         }
-        let d_of = |i: usize| &d_arena[i * num_words..(i + 1) * num_words];
-        let classes = als_lac::DedupClasses::build(
-            lacs.len(),
-            |i| keys[i],
-            |rep, i| d_of(rep) == d_of(i) && cpm.row(lacs[rep].target) == cpm.row(lacs[i].target),
-        );
-        span.count("dedup_hits", classes.hits() as u64);
-        self.metrics.dedup_hits.add(classes.hits() as u64);
-        self.metrics.dedup_reps.add(classes.num_classes() as u64);
+        span.count("targets", groups.len() as u64);
 
-        // Parallel evaluation of one representative per class, with one
-        // change-vector buffer and flip-view list per worker per call (the
-        // flip views borrow `cpm`).
-        let reps: Vec<Lac> = classes.reps().iter().map(|&i| lacs[i]).collect();
+        // One table, change-vector buffer and entry list per worker per
+        // call (the entry views borrow `cpm`).
+        let reference = !als_sim::kernel::simd_enabled();
         #[cfg(feature = "fault-inject")]
         let faults = &self.faults;
         let out = self
             .pool
             .map(
                 &self.pool.region("eval", num_words as u64),
-                &reps,
-                || (PackedBits::zeros(num_words), Vec::new()),
-                |(d, flips), lac| {
-                    #[cfg(feature = "fault-inject")]
-                    faults.tick_eval_item();
-                    Ok(eval_one(aig, sim, state, cpm, lac, d, flips))
+                &groups,
+                || (RowDeltas::default(), PackedBits::zeros(num_words), Vec::new()),
+                |(table, d, flips), (target, row, members)| {
+                    if !reference {
+                        flips.clear();
+                        flips.extend(
+                            row.iter().map(|(o, bits)| SparseFlip { output: o as usize, bits }),
+                        );
+                        state.row_deltas_into(flips, table);
+                    }
+                    let saving = als_lac::area_saving(aig, *target);
+                    let evals: Vec<Evaluated> = members
+                        .iter()
+                        .map(|&i| {
+                            #[cfg(feature = "fault-inject")]
+                            faults.tick_eval_item();
+                            lacs[i].change_vector_into(sim, d);
+                            let error_after = if reference {
+                                let dense: Vec<FlipVec> = row
+                                    .iter()
+                                    .filter_map(|(o, p)| {
+                                        let bits = p.and(d);
+                                        (!bits.is_zero())
+                                            .then_some(FlipVec { output: o as usize, bits })
+                                    })
+                                    .collect();
+                                state.eval_flips(&dense)
+                            } else {
+                                state.error_with(d, table)
+                            };
+                            Evaluated { lac: lacs[i], error_after, saving }
+                        })
+                        .collect();
+                    Ok(evals)
                 },
             )
-            .map(|rep_evals: Vec<Option<Evaluated>>| {
-                // Broadcast each class result back to every member, in the
-                // original candidate order.
-                let mut out = Vec::with_capacity(lacs.len());
-                for (i, lac) in lacs.iter().enumerate() {
-                    let Some(c) = classes.class_of(i) else { continue };
-                    let Some(rep) = &rep_evals[c] else { continue };
-                    let saving = if classes.reps()[c] == i {
-                        rep.saving
-                    } else {
-                        als_lac::area_saving(aig, lac.target)
-                    };
-                    out.push(Evaluated { lac: *lac, error_after: rep.error_after, saving });
+            .map(|per_target: Vec<Vec<Evaluated>>| {
+                // Scatter back into input order.
+                let mut slots: Vec<Option<Evaluated>> = vec![None; lacs.len()];
+                for ((_, _, members), evals) in groups.iter().zip(per_target) {
+                    for (&i, e) in members.iter().zip(evals) {
+                        slots[i] = Some(e);
+                    }
                 }
-                out
+                slots.into_iter().flatten().collect()
             });
         self.times.eval += span.finish();
         out
@@ -567,7 +520,6 @@ impl Ctx {
     /// Ranks target nodes by their best (smallest) evaluated error — the
     /// paper's `E(n)` ordering used to build `S_cand` and Fig. 4.
     pub fn rank_targets(evals: &[Evaluated]) -> Vec<NodeId> {
-        use std::collections::HashMap;
         let mut best: HashMap<NodeId, f64> = HashMap::new();
         for e in evals {
             best.entry(e.lac.target)

@@ -9,10 +9,14 @@
 //! * **MSE** — mean squared error of the same quantity.
 //!
 //! [`ErrorState`] caches everything needed to evaluate a candidate LAC's
-//! error increase from its output *flip vectors* (`D ∧ P[n][o]`, produced by
-//! the CPM) in time proportional to the number of actually flipped
-//! patterns — with early abort once a bound is provably exceeded. This is
-//! the paper's "step 3" work unit.
+//! error from its output *flip vectors* (`D ∧ P[n][o]`, produced by the
+//! CPM). This is the paper's "step 3" work unit. Batch evaluation works
+//! per target: [`ErrorState::row_deltas_into`] builds the target's
+//! per-pattern error deltas once from its CPM row into a [`RowDeltas`]
+//! table, and [`ErrorState::error_with`] prices each LAC at that target as
+//! a masked sum of the table over `D ∧ U`, where `U` is the union of the
+//! row's entries. [`ErrorState::eval_flips`] is the materialising
+//! reference: every LAC's error is computed exactly, with no early stop.
 
 #![forbid(unsafe_code)]
 
@@ -22,4 +26,4 @@ pub mod state;
 
 pub use metric::{paper_thresholds, reference_error, unsigned_weights, MetricKind, UnknownMetric};
 pub use report::ErrorReport;
-pub use state::{ErrorState, FlipVec, SparseFlip};
+pub use state::{ErrorState, FlipVec, RowDeltas, SparseFlip};

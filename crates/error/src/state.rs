@@ -15,10 +15,10 @@ pub struct FlipVec {
     pub bits: PackedBits,
 }
 
-/// A *deferred* flip source for the fused evaluation kernel: the CPM
-/// propagation entry `P[n][o]` of one output, borrowed straight from the
-/// arena. The kernel forms `D ∧ P[n][o]` word-by-word on the fly, so no
-/// per-candidate flip vector is ever materialised.
+/// One entry of a CPM row for the table kernel: the propagation entry
+/// `P[n][o]` of one output, borrowed straight from the arena. The table
+/// never materialises `D ∧ P[n][o]`: [`ErrorState::row_deltas_into`] reads
+/// the entries once per target.
 #[derive(Copy, Clone, Debug)]
 pub struct SparseFlip<'a> {
     /// Output index.
@@ -132,6 +132,16 @@ impl ErrorState {
         } else {
             !0
         }
+    }
+
+    /// The words of `f`'s nonzero window with their indices, tail lanes
+    /// masked.
+    fn window_words<'a>(
+        &'a self,
+        f: &'a SparseFlip<'_>,
+    ) -> impl Iterator<Item = (usize, u64)> + 'a {
+        let (b, e) = (f.bits.nz_begin(), f.bits.nz_end());
+        (b..e).zip(&f.bits.words()[b..e]).map(|(wi, &w)| (wi, w & self.word_mask(wi)))
     }
 
     /// Recomputes all caches from the current output values (after a LAC
@@ -319,173 +329,147 @@ impl ErrorState {
         self.eval_flips(flips) - self.error()
     }
 
-    /// The fused form of [`ErrorState::eval_flips`]: evaluates the error
-    /// the circuit would have if the candidate with change vector `d` and
-    /// CPM propagation entries `flips` were applied, forming the per-output
-    /// flip vectors `d ∧ P[n][o]` word-by-word on the fly.
+    /// Builds the per-pattern error deltas of one CPM row into `table`.
     ///
-    /// No per-candidate temporaries are allocated; words outside the
-    /// intersection of `d`'s support and each entry's nonzero window are
-    /// skipped without being read, and an annihilated candidate (empty
-    /// union window or all-zero `d`) exits immediately with the current
-    /// error. Bit-identical to materialising the flip vectors, filtering
-    /// the all-zero ones, and calling [`ErrorState::eval_flips`] — same
-    /// floating-point operations in the same order.
+    /// `row` holds the entries `P[n][o]` of one target `n`, sorted by
+    /// output (CPM rows are). For every pattern `p` in the row's union `U`
+    /// (tail lanes masked), the build starts from the cached error of `p`
+    /// and applies every entry with bit `p` set, in row order: `±w_o` on
+    /// the signed error, or `±1` on the wrong-output count under ER. It
+    /// then stores `metric(after) − metric(before)`, the exact term
+    /// [`ErrorState::eval_flips`] adds for `p` whenever a candidate's
+    /// change vector has bit `p` set.
     ///
-    /// `flips` must be sorted consistently with the caller's reference
-    /// ordering (CPM rows are sorted by output).
-    ///
-    /// Three restructurings over the reference, none of which reorders a
-    /// floating-point operation:
-    ///
-    /// 1. a union-OR pre-pass accumulates every flip's nonzero window into
-    ///    one scratch vector, so each word decides "anything flips here?"
-    ///    with a single AND instead of a loop over all flips;
-    /// 2. a per-word compaction gathers each flip whose masked word
-    ///    `d ∧ P` is nonzero, with its diff word, exact word and weight, so
-    ///    the per-bit loop reads one compact record per active flip. Words
-    ///    outside a `BitsRef` window are zero by contract, so the mask test
-    ///    needs no window comparison;
-    /// 3. single-active-flip words (the common case on narrow cones) take
-    ///    a branch-free specialisation of the same update.
-    ///
-    /// The f64 accumulation order is the reference's — ascending words,
-    /// ascending bits, flips in row order — so results are
-    /// `to_bits()`-identical, which the tests assert.
-    pub fn eval_flips_sparse(&self, d: &PackedBits, flips: &[SparseFlip<'_>]) -> f64 {
-        let n = self.num_patterns() as f64;
-        if flips.is_empty() {
-            return self.sum / n;
-        }
-        assert_eq!(d.num_words(), self.num_words, "change-vector width mismatch");
-        let lo = flips.iter().map(|f| f.bits.nz_begin()).min().unwrap_or(0);
-        let hi = flips.iter().map(|f| f.bits.nz_end()).max().unwrap_or(0);
-        if lo >= hi {
-            return self.sum / n;
-        }
-        // Union-OR pre-pass over the flip windows.
-        const STACK_WORDS: usize = 256;
-        let width = hi - lo;
-        let mut union_stack = [0u64; STACK_WORDS];
-        let mut union_heap: Vec<u64> = Vec::new();
-        let union: &mut [u64] = if width <= STACK_WORDS {
-            &mut union_stack[..width]
-        } else {
-            union_heap.resize(width, 0);
-            &mut union_heap
-        };
-        for f in flips {
+    /// The per-entry loop has no data-dependent branch: the sign of `±w_o`
+    /// comes from flipping the weight's sign bit, which is an exact
+    /// negation. `table` is overwritten in place, so a reused table makes
+    /// the build allocation-free.
+    pub fn row_deltas_into(&self, row: &[SparseFlip<'_>], table: &mut RowDeltas) {
+        let lo = row.iter().map(|f| f.bits.nz_begin()).min().unwrap_or(0);
+        let hi = row.iter().map(|f| f.bits.nz_end()).max().unwrap_or(0).max(lo);
+        table.lo = lo;
+        table.union.clear();
+        table.union.resize(hi - lo, 0);
+        for f in row {
+            assert_eq!(f.bits.num_words(), self.num_words, "CPM entry width mismatch");
             let (b, e) = (f.bits.nz_begin(), f.bits.nz_end());
             if b < e {
-                als_sim::kernel::or_assign(&mut union[b - lo..e - lo], &f.bits.words()[b..e]);
+                als_sim::kernel::or_assign(&mut table.union[b - lo..e - lo], &f.bits.words()[b..e]);
             }
         }
-        // Per-word compaction buffer; rows wider than the stack buffer
-        // spill to one heap buffer per call.
-        let mut active_stack = [ActiveFlip::ZERO; STACK_FLIPS];
-        let mut active_heap: Vec<ActiveFlip> = Vec::new();
-        let active: &mut [ActiveFlip] = if flips.len() <= STACK_FLIPS {
-            &mut active_stack[..flips.len()]
+        if hi == self.num_words {
+            if let Some(last) = table.union.last_mut() {
+                *last &= self.tail_mask;
+            }
+        }
+        // Patterns of the window, clamped to the logical count; scratch
+        // slots are relative to `p0`.
+        let (p0, p1) = (lo * 64, (hi * 64).min(self.num_patterns));
+        if p0 >= p1 {
+            return;
+        }
+        table.delta.resize(self.num_patterns, 0.0);
+        let delta = &mut table.delta[p0..p1];
+        if self.kind == MetricKind::Er {
+            table.count.resize(self.num_patterns, 0);
+            let count = &mut table.count[p0..p1];
+            let before = &self.wrong_count[p0..p1];
+            for (c, &w) in count.iter_mut().zip(before) {
+                *c = i64::from(w);
+            }
+            for f in row {
+                let diff = self.diff[f.output].words();
+                for (wi, mut m) in self.window_words(f) {
+                    let base = wi * 64 - p0;
+                    while m != 0 {
+                        let b = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        // a differing output becomes right, a right one wrong
+                        count[base + b] += 1 - 2 * (diff[wi] >> b & 1) as i64;
+                    }
+                }
+            }
+            for ((d, &c), &w) in delta.iter_mut().zip(count.iter()).zip(before) {
+                *d = (c > 0) as i64 as f64 - (w > 0) as i64 as f64;
+            }
+            return;
+        }
+        let before = &self.err[p0..p1];
+        delta.copy_from_slice(before);
+        for f in row {
+            let o = f.output;
+            let w = self.weights[o].to_bits();
+            let (exact, diff) = (self.exact[o].words(), self.diff[o].words());
+            for (wi, mut m) in self.window_words(f) {
+                // toggling an approx bit of 1 moves the signed error by −w
+                let approx = exact[wi] ^ diff[wi];
+                let base = wi * 64 - p0;
+                while m != 0 {
+                    let b = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    delta[base + b] += f64::from_bits(w ^ (approx >> b & 1) << 63);
+                }
+            }
+        }
+        if self.kind == MetricKind::Med {
+            for (d, &e) in delta.iter_mut().zip(before) {
+                *d = d.abs() - e.abs();
+            }
         } else {
-            active_heap.resize(flips.len(), ActiveFlip::ZERO);
-            &mut active_heap
-        };
-        let weighted = self.kind.is_weighted();
-        let mut delta_sum = 0.0;
-        for wi in lo..hi {
-            let dw = d.words()[wi] & self.word_mask(wi);
-            let changed = dw & union[wi - lo];
-            if changed == 0 {
-                continue;
-            }
-            let mut k = 0usize;
-            for f in flips.iter() {
-                // no window check: out-of-window words are zero by the
-                // BitsRef contract, so their mask is zero anyway
-                let m = dw & f.bits.words()[wi];
-                if m != 0 {
-                    let o = f.output;
-                    active[k] = ActiveFlip {
-                        m,
-                        diff: self.diff[o].words()[wi],
-                        exact: self.exact[o].words()[wi],
-                        weight: self.weights.get(o).copied().unwrap_or(0.0),
-                    };
-                    k += 1;
-                }
-            }
-            if k == 1 {
-                // Single active flip: every changed bit belongs to it.
-                let af = active[0];
-                let mut rem = changed;
-                while rem != 0 {
-                    let b = rem.trailing_zeros() as usize;
-                    rem &= rem - 1;
-                    let p = wi * 64 + b;
-                    let (mut cnt, mut e) = (self.wrong_count[p] as i64, self.err[p]);
-                    let was_diff = af.diff >> b & 1 == 1;
-                    cnt += if was_diff { -1 } else { 1 };
-                    if weighted {
-                        let approx_bit = (af.exact >> b & 1 == 1) ^ was_diff;
-                        e += if approx_bit { -af.weight } else { af.weight };
-                    }
-                    delta_sum += match self.kind {
-                        MetricKind::Er => {
-                            (cnt > 0) as i64 as f64 - (self.wrong_count[p] > 0) as i64 as f64
-                        }
-                        MetricKind::Med => e.abs() - self.err[p].abs(),
-                        MetricKind::Mse => e * e - self.err[p] * self.err[p],
-                    };
-                }
-                continue;
-            }
-            let mut rem = changed;
-            while rem != 0 {
-                let b = rem.trailing_zeros() as usize;
-                rem &= rem - 1;
-                let p = wi * 64 + b;
-                let (mut cnt, mut e) = (self.wrong_count[p] as i64, self.err[p]);
-                for af in active[..k].iter() {
-                    if af.m >> b & 1 == 1 {
-                        let was_diff = af.diff >> b & 1 == 1;
-                        cnt += if was_diff { -1 } else { 1 };
-                        if weighted {
-                            let approx_bit = (af.exact >> b & 1 == 1) ^ was_diff;
-                            e += if approx_bit { -af.weight } else { af.weight };
-                        }
-                    }
-                }
-                delta_sum += match self.kind {
-                    MetricKind::Er => {
-                        (cnt > 0) as i64 as f64 - (self.wrong_count[p] > 0) as i64 as f64
-                    }
-                    MetricKind::Med => e.abs() - self.err[p].abs(),
-                    MetricKind::Mse => e * e - self.err[p] * self.err[p],
-                };
+            for (d, &e) in delta.iter_mut().zip(before) {
+                *d = *d * *d - e * e;
             }
         }
-        (self.sum + delta_sum) / n
+    }
+
+    /// The error the circuit would have after the candidate with change
+    /// vector `d` at the target whose row built `table` (see
+    /// [`ErrorState::row_deltas_into`], which must have run on this same
+    /// state).
+    ///
+    /// Sums the table over the set bits of `d ∧ U`, words ascending and
+    /// bits ascending, and returns `(sum + Σ delta) / n`. This is
+    /// `to_bits()`-identical to materialising the flip vectors `d ∧ P[n][o]`
+    /// and calling [`ErrorState::eval_flips`]: per pattern the build
+    /// accumulates the same `f64` operations in row order, and across
+    /// patterns the terms add in the same ascending order. An empty row or
+    /// an annihilated candidate (`d ∧ U = 0`) returns [`ErrorState::error`].
+    pub fn error_with(&self, d: &PackedBits, table: &RowDeltas) -> f64 {
+        assert_eq!(d.num_words(), self.num_words, "change-vector width mismatch");
+        let words = &d.words()[table.lo..table.lo + table.union.len()];
+        let mut delta_sum = 0.0;
+        for (k, (&dw, &u)) in words.iter().zip(&table.union).enumerate() {
+            let mut m = dw & u;
+            let base = (table.lo + k) * 64;
+            while m != 0 {
+                let b = m.trailing_zeros() as usize;
+                m &= m - 1;
+                delta_sum += table.delta[base + b];
+            }
+        }
+        (self.sum + delta_sum) / self.num_patterns() as f64
     }
 }
 
-/// Size of the per-word compaction stack buffer of
-/// [`ErrorState::eval_flips_sparse`]; rows with more flips spill to one
-/// heap buffer per call.
-const STACK_FLIPS: usize = 128;
-
-/// One compacted per-word flip record of the fused kernel: the masked
-/// flip word plus the diff/exact words and weight the per-bit loop needs,
-/// gathered once per word so the inner loop reads sequentially.
-#[derive(Copy, Clone)]
-struct ActiveFlip {
-    m: u64,
-    diff: u64,
-    exact: u64,
-    weight: f64,
-}
-
-impl ActiveFlip {
-    const ZERO: ActiveFlip = ActiveFlip { m: 0, diff: 0, exact: 0, weight: 0.0 };
+/// The per-pattern error deltas of one CPM row, built by
+/// [`ErrorState::row_deltas_into`] and read by [`ErrorState::error_with`].
+///
+/// Every LAC at a target `n` flips, on a pattern `p` where its change
+/// vector `D` is set, exactly the outputs `o` with `P[n][o][p] = 1`. So the
+/// error change at `p` belongs to the target, not to the LAC: the table
+/// holds it once per pattern of the row's union `U`, and each LAC at that
+/// target costs one masked sum over `D ∧ U`. A reusable per-worker buffer.
+#[derive(Clone, Debug, Default)]
+pub struct RowDeltas {
+    /// First word of the union window.
+    lo: usize,
+    /// The tail-masked union `U` of the row's entries, words from `lo`.
+    union: Vec<u64>,
+    /// Per pattern: the error after the row's flips while building, then
+    /// the metric delta. Only patterns in `U` are meaningful.
+    delta: Vec<f64>,
+    /// Per pattern: the wrong-output count after the row's flips (ER only).
+    count: Vec<i64>,
 }
 
 #[cfg(test)]
@@ -557,37 +541,45 @@ mod tests {
         }
     }
 
+    /// Materialises `d ∧ P` per entry, drops the all-zero vectors and runs
+    /// the reference evaluator.
+    fn dense_eval(s: &ErrorState, d: &PackedBits, rows: &[(usize, PackedBits)]) -> f64 {
+        let dense: Vec<FlipVec> = rows
+            .iter()
+            .map(|(o, p)| FlipVec { output: *o, bits: d.and(p) })
+            .filter(|f| !f.bits.is_zero())
+            .collect();
+        s.eval_flips(&dense)
+    }
+
+    fn sparse(rows: &[(usize, PackedBits)]) -> Vec<SparseFlip<'_>> {
+        rows.iter().map(|(o, p)| SparseFlip { output: *o, bits: p.as_bits_ref() }).collect()
+    }
+
     #[test]
-    fn eval_flips_sparse_is_bit_identical_to_eval_flips() {
-        // Multi-word state with a zero middle word so the window skipping
-        // actually engages; the fused kernel must return the *same bits*.
+    fn row_table_is_bit_identical_to_eval_flips() {
+        // Multi-word state with a zero middle word so the union window
+        // skips it; several candidates priced from one table must each
+        // return the *same bits* as the reference.
         let exact = vec![bits(vec![0b1100, 0, 0b1]), bits(vec![0b1010, 0, 0b10])];
         let approx = [bits(vec![0b0110, 0, 0b11]), bits(vec![0b1010, 0, 0])];
+        let rows = [(0, bits(vec![0b0101, 0, 0b11])), (1, bits(vec![0, 0, 0b10]))];
+        let ds = [bits(vec![0b0111, 0, 0b10]), bits(vec![!0, !0, !0]), bits(vec![0b1, 0, 0])];
         for kind in MetricKind::ALL {
             let s = ErrorState::new(kind, unsigned_weights(2), exact.clone(), &approx);
-            let d = bits(vec![0b0111, 0, 0b10]);
-            let rows = [(0u32, bits(vec![0b0101, 0, 0b11])), (1u32, bits(vec![0, 0, 0b10]))];
-            // reference: materialise d ∧ P, drop all-zero vectors, eval_flips
-            let dense: Vec<FlipVec> = rows
-                .iter()
-                .map(|(o, p)| FlipVec { output: *o as usize, bits: d.and(p) })
-                .filter(|f| !f.bits.is_zero())
-                .collect();
-            let sparse: Vec<SparseFlip<'_>> = rows
-                .iter()
-                .map(|(o, p)| SparseFlip { output: *o as usize, bits: p.as_bits_ref() })
-                .collect();
-            let a = s.eval_flips(&dense);
-            let b = s.eval_flips_sparse(&d, &sparse);
-            assert_eq!(a.to_bits(), b.to_bits(), "{kind}: {a} vs {b}");
+            let mut table = RowDeltas::default();
+            s.row_deltas_into(&sparse(&rows), &mut table);
+            for d in &ds {
+                let (a, b) = (dense_eval(&s, d, &rows), s.error_with(d, &table));
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind}: {a} vs {b}");
+            }
         }
     }
 
     #[test]
-    fn more_than_stack_flips_spill_to_the_heap_and_stay_identical() {
-        // 130 outputs all flipping in the same word exceeds the 128-entry
-        // compaction stack buffer; the fused kernel must take the heap
-        // spill path and agree with the dense reference bit for bit.
+    fn wide_rows_stay_bit_identical() {
+        // 130 outputs all flipping in the same word: every pattern of the
+        // union accumulates many entries, in row order.
         const OUTPUTS: usize = 130;
         let exact: Vec<PackedBits> = (0..OUTPUTS).map(|o| bits(vec![0b1 << (o % 4)])).collect();
         let approx: Vec<PackedBits> = (0..OUTPUTS).map(|o| bits(vec![0b11 << (o % 3)])).collect();
@@ -597,19 +589,34 @@ mod tests {
         let d = bits(vec![0b1011_0111]);
         for kind in MetricKind::ALL {
             let s = ErrorState::new(kind, weights.clone(), exact.clone(), &approx);
-            let sparse: Vec<SparseFlip<'_>> = rows
-                .iter()
-                .map(|(o, p)| SparseFlip { output: *o, bits: p.as_bits_ref() })
-                .collect();
-            assert!(sparse.len() > 128, "test must exercise the spill path");
-            let dense: Vec<FlipVec> = rows
-                .iter()
-                .map(|(o, p)| FlipVec { output: *o, bits: d.and(p) })
-                .filter(|f| !f.bits.is_zero())
-                .collect();
-            let reference = s.eval_flips(&dense);
-            let fused = s.eval_flips_sparse(&d, &sparse);
-            assert_eq!(reference.to_bits(), fused.to_bits(), "{kind} spill");
+            let mut table = RowDeltas::default();
+            s.row_deltas_into(&sparse(&rows), &mut table);
+            let (reference, table) = (dense_eval(&s, &d, &rows), s.error_with(&d, &table));
+            assert_eq!(reference.to_bits(), table.to_bits(), "{kind}: {reference} vs {table}");
+        }
+    }
+
+    #[test]
+    fn accumulation_order_is_the_references() {
+        // Weights 0.1/0.2/0.3 make f64 addition order-sensitive:
+        // (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1. Patterns 0..2 see one
+        // output flip each (the gather's cross-pattern order), pattern 3
+        // all three (the build's per-pattern row order).
+        let exact = vec![bits(vec![0]); 3];
+        let weights = vec![0.1, 0.2, 0.3];
+        let rows = [(0, bits(vec![0b1001])), (1, bits(vec![0b1010])), (2, bits(vec![0b1100]))];
+        for kind in [MetricKind::Med, MetricKind::Mse] {
+            let s = ErrorState::new(kind, weights.clone(), exact.clone(), &exact);
+            let mut table = RowDeltas::default();
+            s.row_deltas_into(&sparse(&rows), &mut table);
+            for d in [bits(vec![0b0111]), bits(vec![0b1000])] {
+                let (reference, priced) = (dense_eval(&s, &d, &rows), s.error_with(&d, &table));
+                assert_eq!(
+                    reference.to_bits(),
+                    priced.to_bits(),
+                    "{kind}: {reference} vs {priced}"
+                );
+            }
         }
     }
 
@@ -630,25 +637,30 @@ mod tests {
             };
             assert!((s.error() - expect).abs() < 1e-12, "{kind}: {}", s.error());
             // a change vector full of garbage lanes is masked in eval too,
-            // by the fused kernel and the dense reference alike
+            // by the table and the dense reference alike
             let d = bits(vec![0, garbage]);
-            let p = bits(vec![0, !0]);
-            let sparse = vec![SparseFlip { output: 0, bits: p.as_bits_ref() }];
-            let dense = vec![FlipVec { output: 0, bits: d.and(&p) }];
-            assert_eq!(s.eval_flips(&dense).to_bits(), s.error().to_bits());
-            assert_eq!(s.eval_flips_sparse(&d, &sparse).to_bits(), s.error().to_bits());
+            let rows = [(0, bits(vec![0, !0]))];
+            let mut table = RowDeltas::default();
+            s.row_deltas_into(&sparse(&rows), &mut table);
+            assert_eq!(dense_eval(&s, &d, &rows).to_bits(), s.error().to_bits());
+            assert_eq!(s.error_with(&d, &table).to_bits(), s.error().to_bits());
         }
     }
 
     #[test]
-    fn eval_flips_sparse_annihilated_is_identity() {
-        let s = two_output_state(MetricKind::Med, 0b1101, 0b1000);
-        // entries present but d ∧ P = 0 everywhere
-        let d = bits(vec![0b1000_0000]);
-        let p = bits(vec![0b0111]);
-        let sparse = vec![SparseFlip { output: 0, bits: p.as_bits_ref() }];
-        assert_eq!(s.eval_flips_sparse(&d, &sparse).to_bits(), s.error().to_bits());
-        assert_eq!(s.eval_flips_sparse(&d, &[]).to_bits(), s.error().to_bits());
+    fn empty_rows_and_annihilated_candidates_are_identity() {
+        for kind in MetricKind::ALL {
+            let s = two_output_state(kind, 0b1101, 0b1000);
+            let mut table = RowDeltas::default();
+            // an empty row, also over a table left full by an earlier build
+            s.row_deltas_into(&sparse(&[(0, bits(vec![!0]))]), &mut table);
+            s.row_deltas_into(&[], &mut table);
+            assert_eq!(s.error_with(&bits(vec![!0]), &table).to_bits(), s.error().to_bits());
+            // entries present but d ∧ U = 0 everywhere
+            s.row_deltas_into(&sparse(&[(0, bits(vec![0b0111]))]), &mut table);
+            let d = bits(vec![0b1000_0000]);
+            assert_eq!(s.error_with(&d, &table).to_bits(), s.error().to_bits());
+        }
     }
 
     #[test]

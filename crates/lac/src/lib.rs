@@ -13,16 +13,12 @@
 //!
 //! * [`lac`] — the LAC type, its change vector and application,
 //! * [`candgen`] — candidate enumeration with similarity search,
-//! * [`gain`] — area-saving computation,
-//! * [`dedup`] — structural-class partitioning so functionally identical
-//!   candidates share one evaluation.
+//! * [`gain`] — area-saving computation.
 
 pub mod candgen;
-pub mod dedup;
 pub mod gain;
 pub mod lac;
 
 pub use candgen::{constant_lacs, generate, sasimi_lacs, CandidateConfig};
-pub use dedup::DedupClasses;
 pub use gain::area_saving;
 pub use lac::{Lac, LacKind};

@@ -173,7 +173,7 @@ impl PackedBits {
 /// A borrowed packed bit vector: a word slice in some arena, annotated with
 /// the window `[nz_begin, nz_end)` of words that may be nonzero.
 ///
-/// The window is the sparsity metadata the CPM arena and the fused error
+/// The window is the sparsity metadata the CPM arena and the error
 /// kernels share: kernels skip every word outside it without reading the
 /// slice. Words inside the window are *allowed* to be zero; words outside it
 /// must be zero.

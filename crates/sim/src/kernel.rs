@@ -11,14 +11,14 @@
 //! [`simd_enabled`] selects no kernel here: it is the process-wide switch
 //! the engine reads to pick its error evaluator. `ALS_SIMD=0` makes it
 //! evaluate candidates through the materialising reference instead of the
-//! fused sparse evaluator.
+//! per-target delta table.
 
 use std::sync::OnceLock;
 
-/// Whether the engine evaluates LAC candidates with the fused sparse error
-/// evaluator. Reads `ALS_SIMD` once per process: `"0"` selects the
-/// materialising reference evaluator, anything else (or unset) the fused
-/// one. Cached, so per-test toggling is impossible by design.
+/// Whether the engine evaluates LAC candidates with the per-target delta
+/// table. Reads `ALS_SIMD` once per process: `"0"` selects the
+/// materialising reference evaluator, anything else (or unset) the
+/// table. Cached, so per-test toggling is impossible by design.
 pub fn simd_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| std::env::var("ALS_SIMD").map_or(true, |v| v != "0"))

@@ -1,4 +1,4 @@
-//! The arena-backed CPM and the fused word-skipping error kernel must be
+//! The arena-backed CPM and the per-target table evaluator must be
 //! byte-identical to the brute-force/materialising reference
 //! implementations.
 //!
@@ -7,17 +7,17 @@
 //! * full and partial arena CPM rows vs. the brute-force flip-and-resim
 //!   oracle (absent entries must be zero vectors — the arena drops
 //!   annihilated entries at write time),
-//! * `eval_flips_sparse` over borrowed arena slices vs. materialising the
-//!   flip vectors and calling `eval_flips` — exact `f64` bit equality,
+//! * one `RowDeltas` table per target, priced for every SASIMI candidate
+//!   at that target, vs. materialising the flip vectors and calling
+//!   `eval_flips` — exact `f64` bit equality,
 //! * batch LAC evaluation through the engine vs. a dense re-evaluation of
-//!   every candidate, serial and parallel,
-//! * structural dedup inside `evaluate_lacs` is invisible: duplicated
-//!   candidate lists return per-candidate results bit-identical to the
-//!   brute-force evaluation.
+//!   every candidate, serial and parallel, at a partial last word,
+//! * a candidate list with duplicates returns one result per input
+//!   candidate, duplicates bit-equal.
 //!
 //! End to end, the `als` binary must write the same AIGER bytes whether
-//! the engine evaluates candidates with the fused kernel or, under
-//! `ALS_SIMD=0`, with the materialising reference.
+//! the engine evaluates candidates with the table or, under `ALS_SIMD=0`,
+//! with the materialising reference.
 
 use std::process::Command;
 
@@ -25,11 +25,14 @@ use proptest::prelude::*;
 
 use dualphase_als::aig::{Aig, Lit, NodeId};
 use dualphase_als::cpm::reference::{brute_force_row, rows_equivalent};
+use dualphase_als::cpm::RowView;
 use dualphase_als::cuts::CutState;
-use dualphase_als::error::{unsigned_weights, ErrorState, FlipVec, MetricKind, SparseFlip};
-use dualphase_als::lac::{constant_lacs, Lac};
+use dualphase_als::error::{
+    unsigned_weights, ErrorState, FlipVec, MetricKind, RowDeltas, SparseFlip,
+};
+use dualphase_als::lac::{constant_lacs, generate, CandidateConfig, Lac};
 use dualphase_als::par::WorkerPool;
-use dualphase_als::sim::{PatternSet, Simulator};
+use dualphase_als::sim::{PackedBits, PatternSet, Simulator};
 
 /// Operation encoding for random circuit construction (mirrors props.rs).
 #[derive(Clone, Debug)]
@@ -93,6 +96,7 @@ fn perturbed_state(
     sim: &Simulator,
     patterns: &PatternSet,
     kind: MetricKind,
+    weights: Vec<f64>,
     pick: u16,
 ) -> Option<ErrorState> {
     let ands: Vec<NodeId> = aig.iter_ands().collect();
@@ -105,7 +109,26 @@ fn perturbed_state(
     let approx_sim = Simulator::new(&copy, patterns);
     let approx: Vec<_> =
         (0..copy.num_outputs()).map(|o| approx_sim.output_value(&copy, o)).collect();
-    Some(ErrorState::new(kind, unsigned_weights(aig.num_outputs()), golden, &approx))
+    Some(ErrorState::new(kind, weights, golden, &approx))
+}
+
+/// The materialising reference: `d ∧ P` per entry, all-zero vectors
+/// dropped, through `eval_flips`.
+fn dense_eval(state: &ErrorState, row: RowView<'_>, d: &PackedBits) -> f64 {
+    let dense: Vec<FlipVec> = row
+        .iter()
+        .filter_map(|(o, p)| {
+            let bits = p.and(d);
+            (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
+        })
+        .collect();
+    state.eval_flips(&dense)
+}
+
+/// Constants plus up to 8 SASIMI substitutions per target: the
+/// many-candidates-per-target case a per-target table must price.
+fn sasimi_candidates(aig: &Aig, sim: &Simulator) -> Vec<Lac> {
+    generate(aig, sim, &CandidateConfig::sasimi(8), None)
 }
 
 proptest! {
@@ -169,31 +192,39 @@ proptest! {
         let sim = Simulator::new(&aig, &patterns);
         let cuts = CutState::compute(&aig);
         let cpm = dualphase_als::cpm::compute_full(&aig, &sim, &cuts).unwrap();
-        for kind in [MetricKind::Er, MetricKind::Med, MetricKind::Mse] {
-            let Some(state) = perturbed_state(&aig, &sim, &patterns, kind, perturb) else {
+        let lacs = sasimi_candidates(&aig, &sim);
+        // Power-of-two weights sum exactly on these small circuits; the
+        // non-dyadic 0.1·(o + 1) weights make every f64 addition
+        // order-sensitive, so a reordered build or gather shows.
+        let k = aig.num_outputs();
+        let weight_sets = [unsigned_weights(k), (1..=k).map(|o| 0.1 * o as f64).collect()];
+        for (kind, weights) in [MetricKind::Er, MetricKind::Med, MetricKind::Mse]
+            .into_iter()
+            .flat_map(|kind| weight_sets.iter().map(move |w| (kind, w.clone())))
+        {
+            let Some(state) = perturbed_state(&aig, &sim, &patterns, kind, weights, perturb)
+            else {
                 return Ok(());
             };
-            for lac in constant_lacs(&aig, None) {
-                let Some(row) = cpm.row(lac.target) else { continue };
-                let d = lac.change_vector(&sim);
-                // reference: materialise d ∧ P, drop zero vectors, eval_flips
-                let dense: Vec<FlipVec> = row
-                    .iter()
-                    .filter_map(|(o, p)| {
-                        let bits = p.and(&d);
-                        (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
-                    })
-                    .collect();
-                let sparse: Vec<SparseFlip<'_>> = row
+            // One table per target, reused for every candidate at it and
+            // rebuilt over the previous target's contents.
+            let mut table = RowDeltas::default();
+            for target in aig.iter_ands() {
+                let Some(row) = cpm.row(target) else { continue };
+                let entries: Vec<SparseFlip<'_>> = row
                     .iter()
                     .map(|(o, bits)| SparseFlip { output: o as usize, bits })
                     .collect();
-                let reference = state.eval_flips(&dense);
-                let fused = state.eval_flips_sparse(&d, &sparse);
-                prop_assert_eq!(
-                    reference.to_bits(), fused.to_bits(),
-                    "{} {:?}: {} vs {}", kind, lac, reference, fused
-                );
+                state.row_deltas_into(&entries, &mut table);
+                for lac in lacs.iter().filter(|l| l.target == target) {
+                    let d = lac.change_vector(&sim);
+                    let reference = dense_eval(&state, row, &d);
+                    let priced = state.error_with(&d, &table);
+                    prop_assert_eq!(
+                        reference.to_bits(), priced.to_bits(),
+                        "{} {:?}: {} vs {}", kind, lac, reference, priced
+                    );
+                }
             }
         }
     }
@@ -205,60 +236,54 @@ proptest! {
         if aig.iter_ands().next().is_none() {
             return Ok(());
         }
-        let lacs = constant_lacs(&aig, None);
-        let mut per_thread = Vec::new();
-        for threads in THREAD_COUNTS {
-            let cfg = FlowConfig::new(MetricKind::Med, 1.0)
-                .with_patterns(256)
-                .with_threads(threads);
-            let mut ctx = Ctx::new(&aig, &cfg);
-            let cuts = CutState::compute(&ctx.aig);
-            let cpm = dualphase_als::cpm::compute_full(&ctx.aig, &ctx.sim, &cuts).unwrap();
-            let evals = ctx.evaluate_lacs(&cpm, &lacs).unwrap();
-            // dense reference: materialised flip vectors through eval_flips
-            for e in &evals {
-                let row = cpm.row(e.lac.target).unwrap();
-                let d = e.lac.change_vector(&ctx.sim);
-                let dense: Vec<FlipVec> = row
-                    .iter()
-                    .filter_map(|(o, p)| {
-                        let bits = p.and(&d);
-                        (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
-                    })
-                    .collect();
-                let reference = ctx.state.eval_flips(&dense);
-                prop_assert_eq!(
-                    reference.to_bits(), e.error_after.to_bits(),
-                    "{:?} at {} threads", e.lac, threads
-                );
+        for kind in [MetricKind::Med, MetricKind::Mse] {
+            let mut per_thread = Vec::new();
+            for threads in THREAD_COUNTS {
+                // 200 patterns leave the last word partial.
+                let cfg = FlowConfig::new(kind, 1.0).with_patterns(200).with_threads(threads);
+                let mut ctx = Ctx::new(&aig, &cfg);
+                let lacs = sasimi_candidates(&ctx.aig, &ctx.sim);
+                let cuts = CutState::compute(&ctx.aig);
+                let cpm = dualphase_als::cpm::compute_full(&ctx.aig, &ctx.sim, &cuts).unwrap();
+                let evals = ctx.evaluate_lacs(&cpm, &lacs).unwrap();
+                // every candidate has a row here, so one result each, in order
+                prop_assert_eq!(evals.len(), lacs.len());
+                for (e, lac) in evals.iter().zip(&lacs) {
+                    prop_assert_eq!(&e.lac, lac);
+                    let row = cpm.row(e.lac.target).unwrap();
+                    let reference = dense_eval(&ctx.state, row, &e.lac.change_vector(&ctx.sim));
+                    prop_assert_eq!(
+                        reference.to_bits(), e.error_after.to_bits(),
+                        "{} {:?} at {} threads", kind, e.lac, threads
+                    );
+                }
+                per_thread.push(evals);
             }
-            per_thread.push(evals);
-        }
-        // and serial vs parallel batches are byte-identical
-        let (a, b) = (&per_thread[0], &per_thread[1]);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            prop_assert_eq!(x.lac, y.lac);
-            prop_assert_eq!(x.error_after.to_bits(), y.error_after.to_bits());
-            prop_assert_eq!(x.saving, y.saving);
+            // and serial vs parallel batches are byte-identical
+            let (a, b) = (&per_thread[0], &per_thread[1]);
+            prop_assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b) {
+                prop_assert_eq!(x.lac, y.lac);
+                prop_assert_eq!(x.error_after.to_bits(), y.error_after.to_bits());
+                prop_assert_eq!(x.saving, y.saving);
+            }
         }
     }
 
-    /// Structural dedup inside `evaluate_lacs` must be invisible: a
-    /// candidate list with literal duplicates (every LAC listed twice)
+    /// A candidate list with literal duplicates (every LAC listed twice)
     /// yields one result per *input* candidate, each bit-identical to the
-    /// brute-force per-candidate dense evaluation, with duplicate entries
-    /// agreeing exactly.
+    /// per-candidate dense evaluation, with duplicate entries agreeing
+    /// exactly.
     #[test]
-    fn deduplicated_batch_matches_per_candidate_reference((ni, ops, no) in arb_ops()) {
+    fn duplicate_candidates_get_bit_equal_results((ni, ops, no) in arb_ops()) {
         use dualphase_als::engine::{Ctx, FlowConfig};
         let aig = build_circuit(ni, &ops, no);
         if aig.iter_ands().next().is_none() {
             return Ok(());
         }
         let base = constant_lacs(&aig, None);
-        // Interleave duplicates so representatives and their copies are
-        // not adjacent in class order.
+        // The copies follow the whole first list, so a target's
+        // candidates are not adjacent in the input.
         let mut lacs: Vec<Lac> = base.clone();
         lacs.extend(base.iter().copied());
         for threads in THREAD_COUNTS {
@@ -273,19 +298,8 @@ proptest! {
             prop_assert_eq!(evals.len(), lacs.len());
             for (e, lac) in evals.iter().zip(&lacs) {
                 prop_assert_eq!(&e.lac, lac);
-            }
-            // each result bit-identical to the brute-force dense eval
-            for e in &evals {
                 let row = cpm.row(e.lac.target).unwrap();
-                let d = e.lac.change_vector(&ctx.sim);
-                let dense: Vec<FlipVec> = row
-                    .iter()
-                    .filter_map(|(o, p)| {
-                        let bits = p.and(&d);
-                        (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
-                    })
-                    .collect();
-                let reference = ctx.state.eval_flips(&dense);
+                let reference = dense_eval(&ctx.state, row, &e.lac.change_vector(&ctx.sim));
                 prop_assert_eq!(
                     reference.to_bits(), e.error_after.to_bits(),
                     "{:?} at {} threads", e.lac, threads
@@ -303,16 +317,27 @@ proptest! {
 }
 
 /// A whole DP run through the `als` binary writes the same circuit with
-/// the fused evaluator and with the `ALS_SIMD=0` reference evaluator.
-/// 1000 patterns leave the last word partial, so tail masking is part of
-/// the comparison. DP-SA is left out: its self-adaption reads wall-clock
-/// step times, so its output may change with machine load.
+/// the table evaluator and with the `ALS_SIMD=0` reference evaluator,
+/// under ER (c880), MED (sm9x8) and MSE (adder, at the benchmark's
+/// threshold index 1). 1000 patterns leave the last word partial, so tail
+/// masking is part of the comparison. Each case must apply at least 5
+/// LACs, so the comparison covers more than the first selection. DP-SA
+/// is left out: its self-adaption reads wall-clock step times, so its
+/// output may change with machine load.
 #[test]
 fn reference_evaluator_writes_the_same_circuit_end_to_end() {
+    use dualphase_als::circuits::{benchmark, BenchmarkScale};
     let als = env!("CARGO_BIN_EXE_als");
     let dir = std::env::temp_dir();
     let pid = std::process::id();
-    for (circuit, metric, bound) in [("c880", "er", "0.05"), ("sm9x8", "med", "4.0")] {
+    let adder_outputs = benchmark("adder", BenchmarkScale::Reduced).num_outputs();
+    let adder_bound = dualphase_als::error::paper_thresholds(MetricKind::Mse, adder_outputs)[1];
+    let cases = [
+        ("c880", "er", "0.05".to_string()),
+        ("sm9x8", "med", "4.0".to_string()),
+        ("adder", "mse", adder_bound.to_string()),
+    ];
+    for (circuit, metric, bound) in &cases {
         let synth = [
             "synth",
             circuit,
@@ -325,27 +350,30 @@ fn reference_evaluator_writes_the_same_circuit_end_to_end() {
             "--patterns",
             "1000",
         ];
-        let fused_out = dir.join(format!("als-oracle-{pid}-{circuit}-fused.aag"));
-        let reference_out = dir.join(format!("als-oracle-{pid}-{circuit}-reference.aag"));
-        let st = Command::new(als)
-            .args(synth)
-            .args(["-o", fused_out.to_str().unwrap()])
-            .env_remove("ALS_SIMD")
-            .status()
-            .unwrap();
-        assert!(st.success(), "{circuit}: fused run failed");
-        let st = Command::new(als)
-            .args(synth)
-            .args(["-o", reference_out.to_str().unwrap()])
-            .env("ALS_SIMD", "0")
-            .status()
-            .unwrap();
-        assert!(st.success(), "{circuit}: reference run failed");
-        let fused = std::fs::read(&fused_out).unwrap();
-        let reference = std::fs::read(&reference_out).unwrap();
-        assert_eq!(fused, reference, "{circuit}: the two evaluators wrote different circuits");
-        for p in [&fused_out, &reference_out] {
-            std::fs::remove_file(p).ok();
-        }
+        let run = |label: &str, simd: Option<&str>| {
+            let out = dir.join(format!("als-oracle-{pid}-{circuit}-{label}.aag"));
+            let mut cmd = Command::new(als);
+            cmd.args(synth).args(["-o", out.to_str().unwrap()]).env_remove("ALS_SIMD");
+            if let Some(v) = simd {
+                cmd.env("ALS_SIMD", v);
+            }
+            let res = cmd.output().unwrap();
+            assert!(res.status.success(), "{circuit}: {label} run failed");
+            // "... | N LACs in T"
+            let stdout = String::from_utf8_lossy(&res.stdout).into_owned();
+            let lacs: usize = stdout
+                .split(" LACs in")
+                .next()
+                .and_then(|head| head.rsplit(' ').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("{circuit}: no LAC count in {stdout:?}"));
+            let bytes = std::fs::read(&out).unwrap();
+            std::fs::remove_file(&out).ok();
+            (bytes, lacs)
+        };
+        let (table, lacs) = run("table", None);
+        let (reference, _) = run("reference", Some("0"));
+        assert!(lacs >= 5, "{circuit}: only {lacs} LACs applied");
+        assert_eq!(table, reference, "{circuit}: the two evaluators wrote different circuits");
     }
 }

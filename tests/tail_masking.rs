@@ -9,16 +9,17 @@
 //! * `er`/`med`/`mse` of a freshly refreshed [`ErrorState`] are
 //!   bit-identical to the per-bit recomputation (the accumulation order
 //!   is the same, so exact `f64` equality is required, not tolerance),
-//! * the fused sparse CPM evaluation predicts the *measured* error of the
-//!   applied LAC — garbage tails in `D` or in the CPM rows must not leak
-//!   into the estimate.
+//! * the per-target table evaluation predicts the *measured* error of
+//!   every applied LAC, constants and SASIMI substitutions alike —
+//!   garbage tails in `D` or in the CPM rows must not leak into the
+//!   estimate.
 
 use proptest::prelude::*;
 
 use dualphase_als::aig::{Aig, Lit, NodeId};
 use dualphase_als::cuts::CutState;
-use dualphase_als::error::{unsigned_weights, ErrorState, MetricKind, SparseFlip};
-use dualphase_als::lac::{constant_lacs, Lac};
+use dualphase_als::error::{unsigned_weights, ErrorState, MetricKind, RowDeltas, SparseFlip};
+use dualphase_als::lac::{generate, CandidateConfig, Lac};
 use dualphase_als::sim::{PackedBits, PatternSet, Simulator};
 
 /// Operation encoding for random circuit construction (mirrors props.rs).
@@ -174,19 +175,22 @@ proptest! {
         let cpm = dualphase_als::cpm::compute_full(&aig, &sim, &cuts).unwrap();
         let weights = unsigned_weights(aig.num_outputs());
 
+        let lacs = generate(&aig, &sim, &CandidateConfig::sasimi(8), None);
+        let mut table = RowDeltas::default();
         for kind in [MetricKind::Er, MetricKind::Med, MetricKind::Mse] {
             // Approximation-free baseline: golden vs golden.
             let state = ErrorState::with_pattern_count(
                 kind, weights.clone(), golden.clone(), &golden, n,
             );
-            for lac in constant_lacs(&aig, None) {
+            for lac in &lacs {
                 let Some(row) = cpm.row(lac.target) else { continue };
                 let d = lac.change_vector(&sim);
-                let sparse: Vec<SparseFlip<'_>> = row
+                let entries: Vec<SparseFlip<'_>> = row
                     .iter()
                     .map(|(o, bits)| SparseFlip { output: o as usize, bits })
                     .collect();
-                let predicted = state.eval_flips_sparse(&d, &sparse);
+                state.row_deltas_into(&entries, &mut table);
+                let predicted = state.error_with(&d, &table);
 
                 // Measured: apply the LAC, resimulate, rebuild the state.
                 let mut copy = aig.clone();
