@@ -3,15 +3,16 @@
 use std::collections::HashSet;
 
 use als_aig::{Aig, NodeId};
-use als_cuts::CutState;
 
 use crate::config::FlowConfig;
-use crate::context::Ctx;
+use crate::context::Evaluated;
 use crate::error::EngineError;
-use crate::flow::Flow;
-use crate::guard::BudgetGuard;
-use crate::report::{FlowResult, IterationRecord, Phase};
-use crate::supervisor::{self, RunGovernor, StopReason};
+use crate::flow::{Flow, Run};
+use crate::report::{FlowResult, Phase};
+
+/// Relative deviation between a candidate's stale batch estimate and its
+/// exact error above which the rest of the batch is abandoned.
+const DEVIATION_TOLERANCE: f64 = 0.25;
 
 /// AccALS accelerates the iterative flow by applying *multiple* LACs per
 /// comprehensive analysis. After one full analysis, up to `multi_k`
@@ -23,25 +24,17 @@ use crate::supervisor::{self, RunGovernor, StopReason};
 /// When validation shows a large deviation between the stale estimate and
 /// the exact error, the batch stops early — in the worst case one LAC per
 /// analysis is applied, which is the SEALS-like degeneration the paper
-/// observes under the MED metric.
+/// observes under the MED metric. A guard rollback also ends the batch;
+/// the next analysis runs without the evicted candidate.
 #[derive(Clone, Debug)]
 pub struct AccAlsFlow {
     cfg: FlowConfig,
-    /// Relative deviation between stale estimate and exact error above
-    /// which the batch is abandoned.
-    deviation_tolerance: f64,
 }
 
 impl AccAlsFlow {
-    /// Creates the flow with the default deviation tolerance (25%).
+    /// Creates the flow.
     pub fn new(cfg: FlowConfig) -> AccAlsFlow {
-        AccAlsFlow { cfg, deviation_tolerance: 0.25 }
-    }
-
-    /// Overrides the estimate-deviation tolerance.
-    pub fn with_deviation_tolerance(mut self, tol: f64) -> AccAlsFlow {
-        self.deviation_tolerance = tol.max(0.0);
-        self
+        AccAlsFlow { cfg }
     }
 }
 
@@ -51,56 +44,28 @@ impl Flow for AccAlsFlow {
     }
 
     fn run(&self, original: &Aig) -> Result<FlowResult, EngineError> {
-        als_aig::check::check(original).map_err(EngineError::InvalidInput)?;
         let cfg = &self.cfg;
-        crate::journal::reject_unsupported(cfg, self)?;
         let bound = cfg.error_bound;
-        let mut ctx = Ctx::new(original, cfg);
-        let _flow_span = ctx.obs().span("flow");
-        let mut guard = BudgetGuard::new(original, cfg);
-        let mut iterations = Vec::new();
-        let mut first_ranking = Vec::new();
-        let mut analyses = 0usize;
-        let gov = RunGovernor::new(&cfg.supervise);
-        let mut tripped: Option<StopReason> = None;
+        let mut run = Run::start(self, original, cfg)?;
+        // Guard rollbacks since the last commit. The run gives up after as
+        // many as one guarded selection may take.
+        let mut rollbacks = 0usize;
 
-        'analysis: while iterations.len() < cfg.max_lacs {
-            if let Some(reason) = gov.check(iterations.len()) {
-                tripped = Some(reason);
-                break 'analysis;
-            }
-            let _iter_span = ctx.obs().span("iteration");
-            let _phase_span = ctx.obs().span("phase1");
+        'analysis: while run.has_room() && !run.stopped() {
+            let _iter_span = run.ctx.obs().span("iteration");
+            let _phase_span = run.ctx.obs().span("phase1");
             // Comprehensive analysis.
-            let span = ctx.obs().span("cuts");
-            let cuts = CutState::compute_with(&ctx.aig, ctx.pool())?;
-            ctx.times.cuts += span.finish();
-            ctx.metrics.cut_recomputes.inc();
-            let mut span = ctx.obs().span("cpm");
-            let cpm = als_cpm::compute_full_with(&ctx.aig, &ctx.sim, &cuts, ctx.pool())?;
-            span.count("rows", cpm.num_rows() as u64);
-            ctx.times.cpm += span.finish();
-            ctx.metrics.cpm_rows_built.add(cpm.num_rows() as u64);
-            let span = ctx.obs().span("eval");
-            let lacs = als_lac::generate(&ctx.aig, &ctx.sim, &cfg.lac, None);
-            ctx.times.eval += span.finish();
-            if let Some(reason) = gov.check(iterations.len()) {
-                tripped = Some(reason);
-                break 'analysis;
+            let cuts = run.ctx.full_cuts()?;
+            let cpm = run.ctx.full_cpm(&cuts)?;
+            let lacs = run.ctx.generate(&cfg.lac, None);
+            if run.stopped() {
+                break;
             }
-            let mut evals = ctx.evaluate_lacs(&cpm, &lacs)?;
-            analyses += 1;
-            if first_ranking.is_empty() {
-                first_ranking = Ctx::rank_targets(&evals);
-            }
+            let mut evals = run.ctx.evaluate_lacs(&cpm, &lacs)?;
+            run.analysed(&evals);
             evals.retain(|e| e.error_after <= bound);
-            evals = guard.admissible(&evals);
-            evals.sort_by(|a, b| {
-                a.error_after
-                    .total_cmp(&b.error_after)
-                    .then(b.saving.cmp(&a.saving))
-                    .then(a.lac.target.cmp(&b.lac.target))
-            });
+            evals = run.guard.admissible(&evals);
+            evals.sort_by(Evaluated::rank_cmp);
             if evals.is_empty() {
                 break;
             }
@@ -126,73 +91,48 @@ impl Flow for AccAlsFlow {
                 }
             }
 
-            // Apply the batch with exact revalidation.
-            let mut applied_any = false;
+            // Apply the batch with exact revalidation. A commit or an
+            // eviction changes what the next analysis offers.
+            let mut progressed = false;
             for (i, e) in chosen.iter().enumerate() {
-                if let Some(reason) = gov.check(iterations.len()) {
-                    tripped = Some(reason);
+                if run.stopped() {
                     break 'analysis;
                 }
-                if !ctx.aig.is_live(e.lac.target) || !ctx.aig.node(e.lac.target).is_and() {
+                if !run.ctx.aig.is_live(e.lac.target) || !run.ctx.aig.node(e.lac.target).is_and() {
                     continue;
                 }
                 if let als_lac::LacKind::Substitute { sub } = e.lac.kind {
-                    if !ctx.aig.is_live(sub.node()) {
+                    if !run.ctx.aig.is_live(sub.node()) {
                         continue;
                     }
                 }
-                let span = ctx.obs().span("eval");
-                let exact = ctx.exact_error_of(&e.lac);
-                ctx.times.eval += span.finish();
+                let exact = run.ctx.exact_error_of(&e.lac);
                 if exact > bound {
                     break; // stale estimate no longer sound — stop the batch
                 }
                 // Large estimate deviation: degrade to single-LAC behaviour.
                 let scale = bound.max(f64::MIN_POSITIVE);
                 let deviation = (exact - e.error_after).abs() / scale;
-                if i > 0 && deviation > self.deviation_tolerance {
+                if i > 0 && deviation > DEVIATION_TOLERANCE {
                     break;
                 }
-                if guard.try_apply(&mut ctx, e)?.is_none() {
-                    break; // the guard measured an overshoot — stop the batch
-                }
-                ctx.metrics.iterations.inc();
-                iterations.push(IterationRecord {
-                    lac: e.lac,
-                    error_after: exact,
-                    saving: e.saving,
-                    nodes_after: ctx.aig.num_ands(),
-                    phase: if i == 0 { Phase::Comprehensive } else { Phase::Incremental },
-                    rollbacks: 0,
-                });
-                applied_any = true;
+                let Some(records) = run.guard.try_apply(&mut run.ctx, e)? else {
+                    // The guard measured an overshoot and evicted the
+                    // candidate: stop the batch, not the run.
+                    rollbacks += 1;
+                    progressed = true;
+                    break;
+                };
+                let phase = if i == 0 { Phase::Comprehensive } else { Phase::Incremental };
+                run.commit(e, exact, phase, rollbacks, &records);
+                rollbacks = 0;
+                progressed = true;
             }
-            if !applied_any {
+            if !progressed || rollbacks > cfg.guard.max_retries {
                 break;
             }
         }
-
-        let stop = match tripped {
-            Some(reason) => reason,
-            None => supervisor::natural_stop(iterations.len(), cfg.max_lacs),
-        };
-        ctx.metrics.note_stop(&stop, gov.elapsed());
-        Ok(FlowResult {
-            flow: self.name().to_string(),
-            final_error: guard.final_error(&ctx),
-            error_bound: bound,
-            iterations,
-            runtime: ctx.elapsed(),
-            step_times: ctx.times,
-            comprehensive_analyses: analyses,
-            first_ranking,
-            error_report: ctx.report(),
-            comprehensive_time: ctx.elapsed(),
-            incremental_time: std::time::Duration::ZERO,
-            guard: guard.stats(),
-            stop,
-            circuit: ctx.aig,
-        })
+        run.finish(None)
     }
 }
 
@@ -240,13 +180,5 @@ mod tests {
         if res.lacs_applied() >= 2 {
             assert!(res.comprehensive_analyses <= res.lacs_applied());
         }
-    }
-
-    #[test]
-    fn zero_tolerance_still_sound() {
-        let aig = two_independent_adders();
-        let cfg = FlowConfig::new(MetricKind::Med, 2.0).with_patterns(512);
-        let res = AccAlsFlow::new(cfg).with_deviation_tolerance(0.0).run(&aig).unwrap();
-        assert!(res.final_error <= 2.0 + 1e-9);
     }
 }

@@ -1,18 +1,21 @@
-//! Shared per-run state and the evaluation/selection/application kernel
-//! used by every flow.
+//! Shared per-run state, one method per analysis step, and the
+//! evaluation/selection/application kernel used by every flow.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use als_aig::{Aig, EditRecord, NodeId};
 use als_cpm::{Cpm, FlipSim, RowView};
+use als_cuts::CutState;
 use als_error::{unsigned_weights, ErrorState, FlipVec, RowDeltas, SparseFlip};
-use als_lac::Lac;
+use als_lac::{CandidateConfig, Lac};
 use als_obs::{Counter, Histogram, Obs};
 use als_par::{SchedConfig, WorkerPool};
 use als_sim::{PackedBits, PatternSet, Simulator};
 
 use crate::config::FlowConfig;
+use crate::error::EngineError;
 use crate::report::StepTimes;
 
 /// A candidate LAC with its evaluated error and area gain.
@@ -24,6 +27,17 @@ pub struct Evaluated {
     pub error_after: f64,
     /// Gates its application removes.
     pub saving: usize,
+}
+
+impl Evaluated {
+    /// The rank order of the batch flows: smaller error first, then the
+    /// larger saving, then the lower target id.
+    pub(crate) fn rank_cmp(&self, other: &Evaluated) -> Ordering {
+        self.error_after
+            .total_cmp(&other.error_after)
+            .then(other.saving.cmp(&self.saving))
+            .then(self.lac.target.cmp(&other.lac.target))
+    }
 }
 
 /// Pre-registered metric handles of one flow run. All handles are no-ops
@@ -282,6 +296,98 @@ impl Ctx {
         self.state.refresh(&self.outs);
     }
 
+    /// Step 1, comprehensive: the closest disjoint cuts of every node,
+    /// computed from scratch.
+    pub(crate) fn full_cuts(&mut self) -> Result<CutState, EngineError> {
+        let mut span = self.obs.span("cuts");
+        span.count("nodes", self.aig.num_ands() as u64);
+        let cuts = CutState::compute_with(&self.aig, &self.pool)?;
+        self.times.cuts += span.finish();
+        self.metrics.cut_recomputes.inc();
+        Ok(cuts)
+    }
+
+    /// Step 1, incremental: refreshes `cuts` after one applied LAC, only
+    /// for the CPC-violating set `S_v` of its edit `records`.
+    pub(crate) fn update_cuts(&mut self, cuts: &mut CutState, records: &[EditRecord]) {
+        let mut span = self.obs.span("cuts");
+        cuts.update_after_edits(&self.aig, records);
+        let s_v = cuts.last_update_size() as u64;
+        span.count("s_v", s_v);
+        self.times.cuts += span.finish();
+        self.metrics.s_v_size.observe(s_v);
+        self.metrics.cpc_violations.add(s_v);
+    }
+
+    /// Cross-checks `sample` nodes of the incrementally maintained `cuts`
+    /// against ground truth; the check counts as step 1.
+    pub(crate) fn spot_check_cuts(
+        &mut self,
+        cuts: &CutState,
+        sample: usize,
+        salt: u64,
+    ) -> Result<(), String> {
+        let mut span = self.obs.span("cuts");
+        span.count("spot_check", 1);
+        let verdict = cuts.spot_check(&self.aig, sample, salt);
+        self.times.cuts += span.finish();
+        verdict
+    }
+
+    /// Step 2, comprehensive: the full CPM over `cuts`.
+    pub(crate) fn full_cpm(&mut self, cuts: &CutState) -> Result<Cpm, EngineError> {
+        let mut span = self.obs.span("cpm");
+        let cpm = als_cpm::compute_full_with(&self.aig, &self.sim, cuts, &self.pool)?;
+        span.count("rows", cpm.num_rows() as u64);
+        self.times.cpm += span.finish();
+        self.metrics.cpm_rows_built.add(cpm.num_rows() as u64);
+        Ok(cpm)
+    }
+
+    /// Step 2, incremental: the CPM rows of the closure `N(S_cand)` only.
+    pub(crate) fn partial_cpm(
+        &mut self,
+        cuts: &CutState,
+        s_cand: &[NodeId],
+    ) -> Result<Cpm, EngineError> {
+        let mut span = self.obs.span("cpm");
+        let (cpm, closure) =
+            als_cpm::compute_partial_with(&self.aig, &self.sim, cuts, s_cand, &self.pool)?;
+        span.count("rows", cpm.num_rows() as u64);
+        span.count("closure", closure as u64);
+        self.times.cpm += span.finish();
+        self.metrics.cpm_rows_built.add(cpm.num_rows() as u64);
+        self.metrics
+            .cpm_rows_reused
+            .add((self.aig.num_ands() as u64).saturating_sub(closure as u64));
+        Ok(cpm)
+    }
+
+    /// Step 2 without step 1 (VECBEE `l = 1`): the approximate CPM built
+    /// from direct fanouts only.
+    pub(crate) fn depth_one_cpm(&mut self) -> Cpm {
+        let mut span = self.obs.span("cpm");
+        let cpm = als_cpm::compute_depth_one(&self.aig, &self.sim);
+        span.count("rows", cpm.num_rows() as u64);
+        self.times.cpm += span.finish();
+        self.metrics.cpm_rows_built.add(cpm.num_rows() as u64);
+        cpm
+    }
+
+    /// The candidate LACs of step 3 at `targets` (every gate when `None`).
+    /// Generation has its own `generate` span, but its time still counts
+    /// as step 3 in [`StepTimes::eval`].
+    pub(crate) fn generate(
+        &mut self,
+        lac: &CandidateConfig,
+        targets: Option<&[NodeId]>,
+    ) -> Vec<Lac> {
+        let span = self.obs.span("generate");
+        let lacs = als_lac::generate(&self.aig, &self.sim, lac, targets);
+        self.times.eval += span.finish();
+        lacs
+    }
+
     /// Evaluates candidate LACs against the CPM, in parallel when the
     /// configuration asked for worker threads (the paper's multi-threaded
     /// error estimation). Candidates without a CPM row (unreachable
@@ -304,7 +410,7 @@ impl Ctx {
         &mut self,
         cpm: &Cpm,
         lacs: &[Lac],
-    ) -> Result<Vec<Evaluated>, crate::error::EngineError> {
+    ) -> Result<Vec<Evaluated>, EngineError> {
         let mut span = self.obs.span("eval");
         span.count("lacs", lacs.len() as u64);
         self.metrics.lacs_evaluated.observe(lacs.len() as u64);
@@ -387,22 +493,27 @@ impl Ctx {
     }
 
     /// Exact error a LAC would cause, via full fanout-cone resimulation —
-    /// used to validate candidates chosen from approximate estimates.
+    /// used to validate candidates chosen from approximate estimates. The
+    /// validation counts as step 3.
     pub fn exact_error_of(&mut self, lac: &Lac) -> f64 {
+        let span = self.obs.span("eval");
         let row =
             als_cpm::exact_row(&self.aig, &self.sim, &self.ranks, &mut self.flipsim, lac.target);
         let d = lac.change_vector(&self.sim);
-        if d.is_zero() {
-            return self.state.error();
-        }
-        let flips: Vec<FlipVec> = row
-            .into_iter()
-            .filter_map(|(o, p)| {
-                let bits = d.and(&p);
-                (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
-            })
-            .collect();
-        self.state.eval_flips(&flips)
+        let error = if d.is_zero() {
+            self.state.error()
+        } else {
+            let flips: Vec<FlipVec> = row
+                .into_iter()
+                .filter_map(|(o, p)| {
+                    let bits = d.and(&p);
+                    (!bits.is_zero()).then_some(FlipVec { output: o as usize, bits })
+                })
+                .collect();
+            self.state.eval_flips(&flips)
+        };
+        self.times.eval += span.finish();
+        error
     }
 
     /// Picks the best applicable candidate: smallest error, ties broken by
@@ -535,7 +646,6 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use als_cuts::CutState;
     use als_error::MetricKind;
 
     fn small() -> Aig {

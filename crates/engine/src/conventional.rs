@@ -2,15 +2,11 @@
 //! `l = ∞`).
 
 use als_aig::Aig;
-use als_cuts::CutState;
 
 use crate::config::FlowConfig;
-use crate::context::Ctx;
 use crate::error::EngineError;
-use crate::flow::Flow;
-use crate::guard::BudgetGuard;
-use crate::report::{FlowResult, IterationRecord, Phase};
-use crate::supervisor::{self, RunGovernor, StopReason};
+use crate::flow::{Flow, Run};
+use crate::report::{FlowResult, Phase};
 
 /// One comprehensive analysis per applied LAC: full disjoint cuts, full
 /// CPM, all candidate LACs evaluated, the best applied. Exact error
@@ -26,11 +22,6 @@ impl ConventionalFlow {
     pub fn new(cfg: FlowConfig) -> ConventionalFlow {
         ConventionalFlow { cfg }
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &FlowConfig {
-        &self.cfg
-    }
 }
 
 impl Flow for ConventionalFlow {
@@ -39,89 +30,30 @@ impl Flow for ConventionalFlow {
     }
 
     fn run(&self, original: &Aig) -> Result<FlowResult, EngineError> {
-        als_aig::check::check(original).map_err(EngineError::InvalidInput)?;
         let cfg = &self.cfg;
-        crate::journal::reject_unsupported(cfg, self)?;
-        let mut ctx = Ctx::new(original, cfg);
-        let _flow_span = ctx.obs().span("flow");
-        let mut guard = BudgetGuard::new(original, cfg);
-        let mut iterations = Vec::new();
-        let mut first_ranking = Vec::new();
-        let mut analyses = 0usize;
-        let gov = RunGovernor::new(&cfg.supervise);
-        let mut tripped: Option<StopReason> = None;
-
-        while iterations.len() < cfg.max_lacs {
-            if let Some(reason) = gov.check(iterations.len()) {
-                tripped = Some(reason);
+        let mut run = Run::start(self, original, cfg)?;
+        while run.has_room() && !run.stopped() {
+            let _iter_span = run.ctx.obs().span("iteration");
+            let _phase_span = run.ctx.obs().span("phase1");
+            // Full recomputation of the cuts is the "conventional" cost
+            // the dual-phase flow removes.
+            let cuts = run.ctx.full_cuts()?;
+            let cpm = run.ctx.full_cpm(&cuts)?;
+            let lacs = run.ctx.generate(&cfg.lac, None);
+            if run.stopped() {
                 break;
             }
-            let _iter_span = ctx.obs().span("iteration");
-            let _phase_span = ctx.obs().span("phase1");
-            // Step 1: disjoint cuts (full recomputation — this is the
-            // "conventional" cost the dual-phase flow removes).
-            let mut span = ctx.obs().span("cuts");
-            span.count("nodes", ctx.aig.num_ands() as u64);
-            let cuts = CutState::compute_with(&ctx.aig, ctx.pool())?;
-            ctx.times.cuts += span.finish();
-            ctx.metrics.cut_recomputes.inc();
-
-            // Step 2: full CPM.
-            let mut span = ctx.obs().span("cpm");
-            let cpm = als_cpm::compute_full_with(&ctx.aig, &ctx.sim, &cuts, ctx.pool())?;
-            span.count("rows", cpm.num_rows() as u64);
-            ctx.times.cpm += span.finish();
-            ctx.metrics.cpm_rows_built.add(cpm.num_rows() as u64);
-
-            // Step 3: all candidate LACs.
-            let span = ctx.obs().span("eval");
-            let lacs = als_lac::generate(&ctx.aig, &ctx.sim, &cfg.lac, None);
-            ctx.times.eval += span.finish();
-            if let Some(reason) = gov.check(iterations.len()) {
-                tripped = Some(reason);
-                break;
-            }
-            let evals = ctx.evaluate_lacs(&cpm, &lacs)?;
-            analyses += 1;
-            if first_ranking.is_empty() {
-                first_ranking = Ctx::rank_targets(&evals);
-            }
-
-            let Some(applied) = guard.select_apply(&mut ctx, &evals, cfg.selection)? else {
+            let evals = run.ctx.evaluate_lacs(&cpm, &lacs)?;
+            run.analysed(&evals);
+            let Some(applied) =
+                run.guard.select_apply(&mut run.ctx, &evals, cfg.selection, |_, _| false)?
+            else {
                 break;
             };
-            ctx.metrics.iterations.inc();
-            iterations.push(IterationRecord {
-                lac: applied.eval.lac,
-                error_after: applied.eval.error_after,
-                saving: applied.eval.saving,
-                nodes_after: ctx.aig.num_ands(),
-                phase: Phase::Comprehensive,
-                rollbacks: applied.rollbacks,
-            });
+            let (eval, recs) = (&applied.eval, &applied.records);
+            run.commit(eval, eval.error_after, Phase::Comprehensive, applied.rollbacks, recs);
         }
-
-        let stop = match tripped {
-            Some(reason) => reason,
-            None => supervisor::natural_stop(iterations.len(), cfg.max_lacs),
-        };
-        ctx.metrics.note_stop(&stop, gov.elapsed());
-        Ok(FlowResult {
-            flow: self.name().to_string(),
-            final_error: guard.final_error(&ctx),
-            error_bound: cfg.error_bound,
-            iterations,
-            runtime: ctx.elapsed(),
-            step_times: ctx.times,
-            comprehensive_analyses: analyses,
-            first_ranking,
-            error_report: ctx.report(),
-            comprehensive_time: ctx.elapsed(),
-            incremental_time: std::time::Duration::ZERO,
-            guard: guard.stats(),
-            stop,
-            circuit: ctx.aig,
-        })
+        run.finish(None)
     }
 }
 

@@ -4,17 +4,16 @@
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use als_aig::{Aig, NodeId};
-use als_cuts::CutState;
+use als_aig::{Aig, EditRecord, NodeId};
 
 use crate::config::FlowConfig;
-use crate::context::Ctx;
+use crate::context::{Ctx, Evaluated};
 use crate::error::EngineError;
-use crate::flow::Flow;
+use crate::flow::{Flow, Run};
 use crate::guard::BudgetGuard;
 use crate::journal::{self, JournalWriter};
-use crate::report::{FlowResult, IterationRecord, Phase};
-use crate::supervisor::{self, RunGovernor, StopReason};
+use crate::report::{FlowResult, Phase};
+use crate::supervisor;
 
 /// Degradation ladder, upper rungs. Repeated incremental-state fallbacks
 /// mean this run keeps catching its own analysis state out of sync —
@@ -68,11 +67,6 @@ impl DualPhaseFlow {
     pub fn with_self_adaption(cfg: FlowConfig) -> DualPhaseFlow {
         DualPhaseFlow { cfg, self_adapt: true }
     }
-
-    /// Whether self-adaption is enabled.
-    pub fn is_self_adapting(&self) -> bool {
-        self.self_adapt
-    }
 }
 
 /// Relative error increase with a guard for a zero starting error.
@@ -86,19 +80,10 @@ fn relative_increase(e_inc: f64, e0: f64) -> f64 {
     }
 }
 
-/// Appends a journal record through `append`, recording the call's latency
-/// into the run's `als_journal_append_us` histogram when enabled.
-fn timed_append<E>(
-    latency: &als_obs::Histogram,
-    append: impl FnOnce() -> Result<(), E>,
-) -> Result<(), E> {
-    if !latency.is_enabled() {
-        return append();
-    }
-    let t0 = Instant::now();
-    let out = append();
-    latency.observe_duration(t0.elapsed());
-    out
+/// Drops the nodes an applied LAC removed from `s_cand`.
+fn drop_removed(s_cand: &mut Vec<NodeId>, records: &[EditRecord]) {
+    let removed: HashSet<NodeId> = records.iter().flat_map(|r| r.removed.iter().copied()).collect();
+    s_cand.retain(|n| !removed.contains(n));
 }
 
 impl Flow for DualPhaseFlow {
@@ -115,15 +100,9 @@ impl Flow for DualPhaseFlow {
     }
 
     fn run(&self, original: &Aig) -> Result<FlowResult, EngineError> {
-        als_aig::check::check(original).map_err(EngineError::InvalidInput)?;
         let cfg = &self.cfg;
         let bound = cfg.error_bound;
-        let mut ctx = Ctx::new(original, cfg);
-        let _flow_span = ctx.obs().span("flow");
-        let mut guard = BudgetGuard::new(original, cfg);
-        let mut iterations = Vec::new();
-        let mut first_ranking = Vec::new();
-        let mut analyses = 0usize;
+        let mut run = Run::start(self, original, cfg)?;
 
         // Tunable parameters (self-adaption mutates them between dual
         // phases).
@@ -138,15 +117,6 @@ impl Flow for DualPhaseFlow {
         // fallback, if any.
         let mut total_rounds = 0usize;
         let mut fallback_pending: Option<String> = None;
-
-        // ---------------- run supervision --------------------------------
-        // The governor is polled at every iteration, round and eval-batch
-        // boundary; a trip records the reason and unwinds to the graceful
-        // end of the run (flush + Preempt record + best-so-far result).
-        let gov = RunGovernor::new(&cfg.supervise);
-        let mut tripped: Option<StopReason> = None;
-        #[cfg(feature = "fault-inject")]
-        let mut gov = gov;
         // Test-only hold window (see `HOLD_AT_CHECKPOINT_ENV`).
         let hold_at = supervisor::hold_at_checkpoint();
         let mut checkpoints_written = 0usize;
@@ -158,7 +128,6 @@ impl Flow for DualPhaseFlow {
         // the last checkpoint and re-execute the iteration that was in
         // flight when the run died — determinism makes the re-execution
         // reproduce it exactly.
-        let mut journal: Option<JournalWriter> = None;
         if let Some(jc) = &cfg.journal {
             let head = journal::JournalHeader {
                 flow: self.name().to_string(),
@@ -191,17 +160,17 @@ impl Flow for DualPhaseFlow {
                 }
                 if let Some((idx, cp)) = loaded.last_checkpoint() {
                     for c in loaded.commits_before(idx) {
-                        if c.index != iterations.len() as u64 {
+                        if c.index != run.iterations.len() as u64 {
                             return Err(EngineError::Journal {
                                 detail: format!(
                                     "commit records out of order: found index {} where {} was \
                                      expected",
                                     c.index,
-                                    iterations.len()
+                                    run.iterations.len()
                                 ),
                             });
                         }
-                        let edits = ctx.apply(&c.lac);
+                        let edits = run.ctx.apply(&c.lac);
                         if edits != c.edits {
                             return Err(EngineError::Journal {
                                 detail: format!(
@@ -210,32 +179,32 @@ impl Flow for DualPhaseFlow {
                                 ),
                             });
                         }
-                        if ctx.error().to_bits() != c.cum_error.to_bits() {
+                        if run.ctx.error().to_bits() != c.cum_error.to_bits() {
                             return Err(EngineError::Journal {
                                 detail: format!(
                                     "replayed error {} of commit {} does not match journaled {}",
-                                    ctx.error(),
+                                    run.ctx.error(),
                                     c.index,
                                     c.cum_error
                                 ),
                             });
                         }
-                        iterations.push(c.iteration_record());
+                        run.iterations.push(c.iteration_record());
                     }
-                    if iterations.len() as u64 != cp.commit_count {
+                    if run.iterations.len() as u64 != cp.commit_count {
                         return Err(EngineError::Journal {
                             detail: format!(
                                 "checkpoint expects {} commits but the journal holds {}",
                                 cp.commit_count,
-                                iterations.len()
+                                run.iterations.len()
                             ),
                         });
                     }
-                    if ctx.error().to_bits() != cp.cum_error.to_bits() {
+                    if run.ctx.error().to_bits() != cp.cum_error.to_bits() {
                         return Err(EngineError::Journal {
                             detail: format!(
                                 "replayed error {} does not match checkpointed {}",
-                                ctx.error(),
+                                run.ctx.error(),
                                 cp.cum_error
                             ),
                         });
@@ -244,14 +213,14 @@ impl Flow for DualPhaseFlow {
                     n_limit = cp.n_limit as usize;
                     lac_cfg.max_subs_per_target = cp.max_subs_per_target as usize;
                     total_rounds = cp.total_rounds as usize;
-                    analyses = cp.analyses as usize;
+                    run.analyses = cp.analyses as usize;
                     fallback_pending = cp.fallback_pending.clone();
-                    first_ranking = cp.first_ranking.iter().map(|&n| NodeId(n)).collect();
-                    guard.restore(&cp.guard);
+                    run.first_ranking = cp.first_ranking.iter().map(|&n| NodeId(n)).collect();
+                    run.guard.restore(&cp.guard);
                     // Re-derive the degradation ladder from the journaled
                     // fallback count so the resumed run executes under the
                     // same regime the original had degraded into.
-                    apply_degradation(&mut ctx, &mut guard, cp.guard.stats.fallbacks);
+                    apply_degradation(&mut run.ctx, &mut run.guard, cp.guard.stats.fallbacks);
                     // Seed the writer with the bytes *before* the last
                     // checkpoint: the loop below immediately re-journals an
                     // identical checkpoint (the restored state is
@@ -266,34 +235,32 @@ impl Flow for DualPhaseFlow {
                 JournalWriter::create(&jc.path, &head)?
             };
             let mut writer = writer;
-            writer.set_retry_counter(ctx.metrics.journal_retries.clone());
+            writer.set_retry_counter(run.ctx.metrics.journal_retries.clone());
             #[cfg(feature = "fault-inject")]
             writer.set_faults(cfg.faults.clone());
-            journal = Some(writer);
+            run.journal = Some(writer);
         }
 
-        'dual_phase: while iterations.len() < cfg.max_lacs {
-            // Iteration boundary: the cheapest place to stop — nothing of
-            // this iteration has started yet.
-            if let Some(r) = gov.check(iterations.len()) {
-                tripped = Some(r);
-                break 'dual_phase;
-            }
-            let _iter_span = ctx.obs().span("iteration");
-            if let Some(w) = journal.as_mut() {
+        // The governor is polled at every iteration, round and eval-batch
+        // boundary; a trip unwinds to the graceful end of the run (flush +
+        // Preempt record + best-so-far result). The iteration boundary is
+        // the cheapest place to stop — nothing of it has started yet.
+        'dual_phase: while run.has_room() && !run.stopped() {
+            let _iter_span = run.ctx.obs().span("iteration");
+            if run.journal.is_some() {
                 let cp = journal::Checkpoint {
-                    commit_count: iterations.len() as u64,
-                    cum_error: ctx.error(),
+                    commit_count: run.iterations.len() as u64,
+                    cum_error: run.ctx.error(),
                     m: m as u64,
                     n_limit: n_limit as u64,
                     max_subs_per_target: lac_cfg.max_subs_per_target as u64,
                     total_rounds: total_rounds as u64,
-                    analyses: analyses as u64,
+                    analyses: run.analyses as u64,
                     fallback_pending: fallback_pending.clone(),
-                    first_ranking: first_ranking.iter().map(|n| n.0).collect(),
-                    guard: guard.snapshot(),
+                    first_ranking: run.first_ranking.iter().map(|n| n.0).collect(),
+                    guard: run.guard.snapshot(),
                 };
-                timed_append(&ctx.metrics.journal_append_us, || w.append_checkpoint(&cp))?;
+                run.timed_append(|w| w.append_checkpoint(&cp))?;
                 checkpoints_written += 1;
                 // Test hook: park right after the n-th checkpoint until a
                 // cancellation (normally a delivered signal) arrives, so
@@ -302,22 +269,19 @@ impl Flow for DualPhaseFlow {
                 // a test run forever.
                 if hold_at == Some(checkpoints_written) {
                     let parked = Instant::now();
-                    while !gov.cancel_requested() && parked.elapsed() < Duration::from_secs(60) {
+                    while !run.gov.cancel_requested() && parked.elapsed() < Duration::from_secs(60)
+                    {
                         std::thread::sleep(Duration::from_millis(5));
                     }
                 }
             }
-            let times_snapshot = ctx.times;
-            let e0 = ctx.error();
+            let times_snapshot = run.ctx.times;
+            let e0 = run.ctx.error();
             let mut sum_er = 0.0f64;
 
             // ---------------- Phase one: comprehensive analysis ----------
-            let phase1_span = ctx.obs().span("phase1");
-            let mut span = ctx.obs().span("cuts");
-            span.count("nodes", ctx.aig.num_ands() as u64);
-            let mut cuts = CutState::compute_with(&ctx.aig, ctx.pool())?;
-            ctx.times.cuts += span.finish();
-            ctx.metrics.cut_recomputes.inc();
+            let phase1_span = run.ctx.obs().span("phase1");
+            let mut cuts = run.ctx.full_cuts()?;
             // Last rung of the degradation ladder: if this comprehensive
             // analysis is itself a fallback from a failed incremental
             // spot-check, cross-validate the *fresh* state too. A fresh
@@ -329,7 +293,7 @@ impl Flow for DualPhaseFlow {
                     cuts.debug_corrupt_cuts();
                 }
                 if let Err(detail) =
-                    cuts.spot_check(&ctx.aig, cfg.guard.spot_check.max(16), total_rounds as u64)
+                    cuts.spot_check(&run.ctx.aig, cfg.guard.spot_check.max(16), total_rounds as u64)
                 {
                     return Err(EngineError::CorruptAnalysis {
                         flow: self.name().to_string(),
@@ -337,166 +301,77 @@ impl Flow for DualPhaseFlow {
                     });
                 }
             }
-            let mut span = ctx.obs().span("cpm");
-            let cpm = als_cpm::compute_full_with(&ctx.aig, &ctx.sim, &cuts, ctx.pool())?;
-            span.count("rows", cpm.num_rows() as u64);
-            ctx.times.cpm += span.finish();
-            ctx.metrics.cpm_rows_built.add(cpm.num_rows() as u64);
-            let span = ctx.obs().span("eval");
-            let lacs = als_lac::generate(&ctx.aig, &ctx.sim, &lac_cfg, None);
-            ctx.times.eval += span.finish();
+            let cpm = run.ctx.full_cpm(&cuts)?;
+            let lacs = run.ctx.generate(&lac_cfg, None);
             // Eval-batch boundary: the comprehensive evaluation is the
             // single most expensive step — don't start it doomed.
-            if let Some(r) = gov.check(iterations.len()) {
+            if run.stopped() {
                 comp_time += phase1_span.finish();
-                tripped = Some(r);
-                break 'dual_phase;
+                break;
             }
-            let evals = ctx.evaluate_lacs(&cpm, &lacs)?;
-            analyses += 1;
-            if first_ranking.is_empty() {
-                first_ranking = Ctx::rank_targets(&evals);
-            }
+            let evals = run.ctx.evaluate_lacs(&cpm, &lacs)?;
+            run.analysed(&evals);
 
-            let e_pre = ctx.error();
-            let Some(applied) = guard.select_apply(&mut ctx, &evals, cfg.selection)? else {
+            let e_pre = run.ctx.error();
+            let Some(applied) =
+                run.guard.select_apply(&mut run.ctx, &evals, cfg.selection, |_, _| false)?
+            else {
                 comp_time += phase1_span.finish();
                 break;
             };
-            ctx.metrics.iterations.inc();
             let mut s_cand: Vec<NodeId> = Ctx::rank_targets(&evals).into_iter().take(m).collect();
-            ctx.metrics.s_cand_size.observe(s_cand.len() as u64);
+            run.ctx.metrics.s_cand_size.observe(s_cand.len() as u64);
             sum_er += relative_increase(applied.eval.error_after - e_pre, e0);
-            let recs = applied.records;
-            iterations.push(IterationRecord {
-                lac: applied.eval.lac,
-                error_after: applied.eval.error_after,
-                saving: applied.eval.saving,
-                nodes_after: ctx.aig.num_ands(),
-                phase: Phase::Comprehensive,
-                rollbacks: applied.rollbacks,
-            });
-            if let (Some(w), Some(rec)) = (journal.as_mut(), iterations.last()) {
-                let c =
-                    journal::Commit::new(iterations.len() - 1, rec, &recs, ctx.error(), &ctx.times);
-                // Group commit: buffered in memory, made durable by the next
-                // checkpoint append (or the end-of-run flush).
-                w.append_commit_buffered(&c);
-            }
-            let removed: HashSet<NodeId> =
-                recs.iter().flat_map(|r| r.removed.iter().copied()).collect();
-            s_cand.retain(|n| !removed.contains(n));
-            let mut span = ctx.obs().span("cuts");
-            cuts.update_after_edits(&ctx.aig, &recs);
-            let s_v = cuts.last_update_size() as u64;
-            ctx.metrics.s_v_size.observe(s_v);
-            span.count("s_v", s_v);
-            ctx.times.cuts += span.finish();
-            ctx.metrics.cpc_violations.add(s_v);
+            let (eval, recs) = (&applied.eval, &applied.records);
+            run.commit(eval, eval.error_after, Phase::Comprehensive, applied.rollbacks, recs);
+            drop_removed(&mut s_cand, recs);
+            run.ctx.update_cuts(&mut cuts, recs);
             comp_time += phase1_span.finish();
 
             // ---------------- Phase two: incremental rounds --------------
-            let phase2_span = ctx.obs().span("phase2");
+            let phase2_span = run.ctx.obs().span("phase2");
             let mut rounds = 0usize;
-            while rounds < n_limit && !s_cand.is_empty() && iterations.len() < cfg.max_lacs {
-                // Round boundary.
-                if let Some(r) = gov.check(iterations.len()) {
-                    tripped = Some(r);
-                    break;
-                }
-                let _round_span = ctx.obs().span("round");
-                s_cand.retain(|&n| ctx.aig.is_live(n) && ctx.aig.node(n).is_and());
+            while rounds < n_limit && !s_cand.is_empty() && run.has_room() && !run.stopped() {
+                let _round_span = run.ctx.obs().span("round");
+                s_cand.retain(|&n| run.ctx.aig.is_live(n) && run.ctx.aig.node(n).is_and());
                 if s_cand.is_empty() {
                     break;
                 }
-                ctx.metrics.s_cand_size.observe(s_cand.len() as u64);
-                // Step 2: partial CPM over N(S_cand).
-                let mut span = ctx.obs().span("cpm");
-                let (pcpm, closure) =
-                    als_cpm::compute_partial_with(&ctx.aig, &ctx.sim, &cuts, &s_cand, ctx.pool())?;
-                span.count("rows", pcpm.num_rows() as u64);
-                span.count("closure", closure as u64);
-                ctx.times.cpm += span.finish();
-                ctx.metrics.cpm_rows_built.add(pcpm.num_rows() as u64);
-                ctx.metrics
-                    .cpm_rows_reused
-                    .add((ctx.aig.num_ands() as u64).saturating_sub(closure as u64));
-                // Step 3: LACs targeting S_cand only.
-                let span = ctx.obs().span("eval");
-                let lacs = als_lac::generate(&ctx.aig, &ctx.sim, &lac_cfg, Some(&s_cand));
-                ctx.times.eval += span.finish();
+                run.ctx.metrics.s_cand_size.observe(s_cand.len() as u64);
+                // Step 2: partial CPM over N(S_cand); step 3: LACs
+                // targeting S_cand only.
+                let pcpm = run.ctx.partial_cpm(&cuts, &s_cand)?;
+                let lacs = run.ctx.generate(&lac_cfg, Some(&s_cand));
                 // Eval-batch boundary.
-                if let Some(r) = gov.check(iterations.len()) {
-                    tripped = Some(r);
+                if run.stopped() {
                     break;
                 }
-                let evals = ctx.evaluate_lacs(&pcpm, &lacs)?;
+                let evals = run.ctx.evaluate_lacs(&pcpm, &lacs)?;
 
-                // Guarded selection with the DP-SA adaptive stop woven in:
-                // the stop criterion looks at the candidate's *estimate*
-                // before it is applied, so it runs inside the retry loop.
-                let mut rollbacks = 0usize;
-                let outcome = loop {
-                    if rollbacks > cfg.guard.max_retries {
-                        break None;
-                    }
-                    let pool = guard.admissible(&evals);
-                    let Some(best) = Ctx::select(&pool, bound, cfg.selection, ctx.error()) else {
-                        break None;
-                    };
-                    let e = ctx.error();
-                    let e_r = relative_increase(best.error_after - e, e0);
-                    if self.self_adapt {
-                        let in_relaxed = e > cfg.b_r * bound && e <= cfg.b_s * bound;
-                        let in_strict = e > cfg.b_s * bound;
-                        if (in_relaxed && e_r > cfg.e_t) || (in_strict && sum_er + e_r > cfg.e_t) {
-                            break None;
-                        }
-                    }
-                    match guard.try_apply(&mut ctx, &best)? {
-                        Some(recs) => break Some((best, recs, e_r)),
-                        None => rollbacks += 1,
-                    }
+                // Guarded selection. DP-SA's adaptive stop looks at each
+                // selected candidate's *estimate* before it is applied.
+                let mut e_r = 0.0;
+                let adaptive_stop = |best: &Evaluated, e: f64| {
+                    e_r = relative_increase(best.error_after - e, e0);
+                    let in_relaxed = e > cfg.b_r * bound && e <= cfg.b_s * bound;
+                    let in_strict = e > cfg.b_s * bound;
+                    self.self_adapt
+                        && ((in_relaxed && e_r > cfg.e_t) || (in_strict && sum_er + e_r > cfg.e_t))
                 };
-                let Some((best, recs, e_r)) = outcome else {
+                let Some(applied) =
+                    run.guard.select_apply(&mut run.ctx, &evals, cfg.selection, adaptive_stop)?
+                else {
                     break;
                 };
-                if self.self_adapt {
-                    sum_er += e_r;
-                }
-                ctx.metrics.iterations.inc();
-                iterations.push(IterationRecord {
-                    lac: best.lac,
-                    error_after: best.error_after,
-                    saving: best.saving,
-                    nodes_after: ctx.aig.num_ands(),
-                    phase: Phase::Incremental,
-                    rollbacks,
-                });
-                if let (Some(w), Some(rec)) = (journal.as_mut(), iterations.last()) {
-                    let c = journal::Commit::new(
-                        iterations.len() - 1,
-                        rec,
-                        &recs,
-                        ctx.error(),
-                        &ctx.times,
-                    );
-                    w.append_commit_buffered(&c);
-                }
-                let removed: HashSet<NodeId> =
-                    recs.iter().flat_map(|r| r.removed.iter().copied()).collect();
-                s_cand.retain(|n| !removed.contains(n));
+                sum_er += e_r;
+                let (eval, recs) = (&applied.eval, &applied.records);
+                run.commit(eval, eval.error_after, Phase::Incremental, applied.rollbacks, recs);
+                drop_removed(&mut s_cand, recs);
                 // Step 1 (incremental): refresh cuts for S_v only.
-                let mut span = ctx.obs().span("cuts");
-                cuts.update_after_edits(&ctx.aig, &recs);
-                let s_v = cuts.last_update_size() as u64;
-                ctx.metrics.s_v_size.observe(s_v);
-                span.count("s_v", s_v);
-                ctx.times.cuts += span.finish();
-                ctx.metrics.cpc_violations.add(s_v);
+                run.ctx.update_cuts(&mut cuts, recs);
                 rounds += 1;
                 total_rounds += 1;
-                ctx.metrics.phase2_rounds.inc();
+                run.ctx.metrics.phase2_rounds.inc();
 
                 // Degradation ladder: cross-validate the incrementally
                 // maintained state against ground truth on a small node
@@ -509,29 +384,25 @@ impl Flow for DualPhaseFlow {
                 }
                 #[cfg(feature = "fault-inject")]
                 if cfg.faults.take_trip_deadline(total_rounds) {
-                    gov.force_deadline();
+                    run.gov.force_deadline();
                 }
                 if cfg.guard.enabled && cfg.guard.spot_check > 0 {
-                    als_aig::check::check(&ctx.aig).map_err(|e| EngineError::CorruptCircuit {
-                        flow: self.name().to_string(),
-                        source: e,
+                    als_aig::check::check(&run.ctx.aig).map_err(|e| {
+                        EngineError::CorruptCircuit { flow: self.name().to_string(), source: e }
                     })?;
-                    let mut span = ctx.obs().span("cuts");
-                    span.count("spot_check", 1);
-                    let verdict =
-                        cuts.spot_check(&ctx.aig, cfg.guard.spot_check, total_rounds as u64);
-                    ctx.times.cuts += span.finish();
-                    if let Err(detail) = verdict {
-                        guard.note_fallback();
-                        let fallbacks = guard.stats().fallbacks;
-                        apply_degradation(&mut ctx, &mut guard, fallbacks);
+                    let salt = total_rounds as u64;
+                    if let Err(detail) = run.ctx.spot_check_cuts(&cuts, cfg.guard.spot_check, salt)
+                    {
+                        run.guard.note_fallback();
+                        let fallbacks = run.guard.stats().fallbacks;
+                        apply_degradation(&mut run.ctx, &mut run.guard, fallbacks);
                         fallback_pending = Some(detail);
                         break;
                     }
                 }
             }
             inc_time += phase2_span.finish();
-            if tripped.is_some() {
+            if run.tripped.is_some() {
                 // A governor trip inside phase two: the timing accumulators
                 // are settled above, now unwind to the graceful end.
                 break 'dual_phase;
@@ -544,7 +415,7 @@ impl Flow for DualPhaseFlow {
 
             // ---------------- Self-adaption: parameter tuning ------------
             if self.self_adapt {
-                let dp_times = ctx.times.delta_since(&times_snapshot);
+                let dp_times = run.ctx.times.delta_since(&times_snapshot);
                 match dp_times.dominating_step() {
                     Some(1) => {
                         // Step 1 dominated: growing M adds phase-two rounds
@@ -566,58 +437,16 @@ impl Flow for DualPhaseFlow {
                 }
                 n_limit = (m / 3).max(1);
             }
-
-            if iterations.is_empty() {
-                // phase one applied nothing (cannot happen: `best` existed),
-                // but guard against pathological configs
-                break 'dual_phase;
-            }
         }
 
-        let stop = match tripped {
-            Some(r) => r,
-            None => supervisor::natural_stop(iterations.len(), cfg.max_lacs),
-        };
-
-        // Final group commit: commits of the last iteration have no
-        // following checkpoint to ride on, so flush them explicitly. A
-        // preempted run then seals the journal with a `Preempt` record —
-        // proof for `--resume` (and the operator) that the file ends at a
-        // graceful stop, not a crash.
-        if let Some(w) = journal.as_mut() {
-            timed_append(&ctx.metrics.journal_append_us, || w.flush())?;
-            if stop.is_preemption() {
-                let p = journal::Preempt {
-                    reason: stop.clone(),
-                    commit_count: iterations.len() as u64,
-                };
-                timed_append(&ctx.metrics.journal_append_us, || w.append_preempt(&p))?;
-            }
-        }
-        ctx.metrics.note_stop(&stop, gov.elapsed());
-
-        Ok(FlowResult {
-            flow: self.name().to_string(),
-            final_error: guard.final_error(&ctx),
-            error_bound: bound,
-            iterations,
-            runtime: ctx.elapsed(),
-            step_times: ctx.times,
-            comprehensive_analyses: analyses,
-            first_ranking,
-            error_report: ctx.report(),
-            comprehensive_time: comp_time,
-            incremental_time: inc_time,
-            guard: guard.stats(),
-            stop,
-            circuit: ctx.aig,
-        })
+        run.finish(Some((comp_time, inc_time)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::StopReason;
     use als_error::MetricKind;
 
     fn adder(width: usize) -> Aig {
@@ -702,7 +531,6 @@ mod tests {
         let aig = adder(5);
         let cfg = FlowConfig::new(MetricKind::Med, 4.0).with_patterns(1024);
         let flow = DualPhaseFlow::with_self_adaption(cfg);
-        assert!(flow.is_self_adapting());
         assert_eq!(flow.name(), "DP-SA");
         let res = flow.run(&aig).unwrap();
         assert!(res.final_error <= 4.0 + 1e-9);

@@ -287,11 +287,16 @@ impl BudgetGuard {
     /// to [`GuardConfig::max_retries`] rollbacks; returns `Ok(None)` when
     /// no candidate survives (the iteration should stop, exactly as if
     /// selection had found nothing).
+    ///
+    /// `veto` sees each selected candidate and the current error before
+    /// the candidate is applied; returning `true` stops the selection with
+    /// `Ok(None)` (DP-SA's adaptive phase-two stop).
     pub fn select_apply(
         &mut self,
         ctx: &mut Ctx,
         evals: &[Evaluated],
         strategy: SelectionStrategy,
+        mut veto: impl FnMut(&Evaluated, f64) -> bool,
     ) -> Result<Option<GuardedApply>, EngineError> {
         let mut rollbacks = 0;
         for _ in 0..=self.cfg.max_retries {
@@ -299,6 +304,9 @@ impl BudgetGuard {
             let Some(eval) = Ctx::select(&pool, self.bound, strategy, ctx.error()) else {
                 return Ok(None);
             };
+            if veto(&eval, ctx.error()) {
+                return Ok(None);
+            }
             match self.try_apply(ctx, &eval)? {
                 Some(records) => return Ok(Some(GuardedApply { eval, records, rollbacks })),
                 None => rollbacks += 1,

@@ -23,26 +23,14 @@ pub struct StepTimes {
     pub cuts: Duration,
     /// Step 2: computing the CPM.
     pub cpm: Duration,
-    /// Step 3: candidate generation and error evaluation.
+    /// Step 3: candidate generation and error evaluation (the sum of the
+    /// `generate` and `eval` spans).
     pub eval: Duration,
     /// LAC application, resimulation and cache refresh.
     pub apply: Duration,
 }
 
 impl StepTimes {
-    /// Total of all tracked steps.
-    pub fn total(&self) -> Duration {
-        self.cuts + self.cpm + self.eval + self.apply
-    }
-
-    /// Adds another accumulator's times into this one.
-    pub fn add(&mut self, other: &StepTimes) {
-        self.cuts += other.cuts;
-        self.cpm += other.cpm;
-        self.eval += other.eval;
-        self.apply += other.apply;
-    }
-
     /// The time accumulated since an earlier snapshot of the same
     /// accumulator.
     pub fn delta_since(&self, snapshot: &StepTimes) -> StepTimes {
@@ -253,18 +241,5 @@ mod tests {
             apply: Duration::ZERO,
         };
         assert_eq!(b.dominating_step(), None);
-    }
-
-    #[test]
-    fn step_times_accumulate() {
-        let mut a = StepTimes {
-            cuts: Duration::from_secs(1),
-            cpm: Duration::from_secs(2),
-            eval: Duration::from_secs(3),
-            apply: Duration::from_secs(4),
-        };
-        let b = a;
-        a.add(&b);
-        assert_eq!(a.total(), Duration::from_secs(20));
     }
 }

@@ -3,12 +3,14 @@
 use als_aig::Aig;
 
 use crate::config::FlowConfig;
-use crate::context::Ctx;
+use crate::context::Evaluated;
 use crate::error::EngineError;
-use crate::flow::Flow;
-use crate::guard::BudgetGuard;
-use crate::report::{FlowResult, IterationRecord, Phase};
-use crate::supervisor::{self, RunGovernor, StopReason};
+use crate::flow::{Flow, Run};
+use crate::report::{FlowResult, Phase};
+
+/// How many top-ranked candidates are validated exactly per iteration
+/// before the flow declares itself stuck.
+const VALIDATE_LIMIT: usize = 32;
 
 /// The fastest, least accurate VECBEE configuration: the CPM is built from
 /// direct fanouts only (no cut computation at all), so step 1 vanishes and
@@ -22,21 +24,12 @@ use crate::supervisor::{self, RunGovernor, StopReason};
 #[derive(Clone, Debug)]
 pub struct VecbeeDepthOneFlow {
     cfg: FlowConfig,
-    /// How many top-ranked candidates to validate before giving up.
-    validate_limit: usize,
 }
 
 impl VecbeeDepthOneFlow {
-    /// Creates the flow with the default validation budget.
+    /// Creates the flow.
     pub fn new(cfg: FlowConfig) -> VecbeeDepthOneFlow {
-        VecbeeDepthOneFlow { cfg, validate_limit: 32 }
-    }
-
-    /// Overrides how many top-ranked candidates may be exactly validated
-    /// per iteration before the flow declares itself stuck.
-    pub fn with_validation_limit(mut self, limit: usize) -> VecbeeDepthOneFlow {
-        self.validate_limit = limit.max(1);
-        self
+        VecbeeDepthOneFlow { cfg }
     }
 }
 
@@ -46,112 +39,48 @@ impl Flow for VecbeeDepthOneFlow {
     }
 
     fn run(&self, original: &Aig) -> Result<FlowResult, EngineError> {
-        als_aig::check::check(original).map_err(EngineError::InvalidInput)?;
         let cfg = &self.cfg;
-        crate::journal::reject_unsupported(cfg, self)?;
-        let mut ctx = Ctx::new(original, cfg);
-        let _flow_span = ctx.obs().span("flow");
-        let mut guard = BudgetGuard::new(original, cfg);
-        let mut iterations = Vec::new();
-        let mut first_ranking = Vec::new();
-        let mut analyses = 0usize;
-        let gov = RunGovernor::new(&cfg.supervise);
-        let mut tripped: Option<StopReason> = None;
-
-        'outer: while iterations.len() < cfg.max_lacs {
-            if let Some(reason) = gov.check(iterations.len()) {
-                tripped = Some(reason);
-                break 'outer;
+        let mut run = Run::start(self, original, cfg)?;
+        'outer: while run.has_room() && !run.stopped() {
+            let _iter_span = run.ctx.obs().span("iteration");
+            let _phase_span = run.ctx.obs().span("phase1");
+            // No step 1; step 3 evaluates everything approximately against
+            // the depth-one CPM.
+            let cpm = run.ctx.depth_one_cpm();
+            let lacs = run.ctx.generate(&cfg.lac, None);
+            if run.stopped() {
+                break;
             }
-            let _iter_span = ctx.obs().span("iteration");
-            let _phase_span = ctx.obs().span("phase1");
-            // Step 2 (no step 1): depth-one CPM.
-            let mut span = ctx.obs().span("cpm");
-            let cpm = als_cpm::compute_depth_one(&ctx.aig, &ctx.sim);
-            span.count("rows", cpm.num_rows() as u64);
-            ctx.times.cpm += span.finish();
-            ctx.metrics.cpm_rows_built.add(cpm.num_rows() as u64);
-
-            // Step 3: evaluate everything approximately.
-            let span = ctx.obs().span("eval");
-            let lacs = als_lac::generate(&ctx.aig, &ctx.sim, &cfg.lac, None);
-            ctx.times.eval += span.finish();
-            if let Some(reason) = gov.check(iterations.len()) {
-                tripped = Some(reason);
-                break 'outer;
-            }
-            let mut evals = ctx.evaluate_lacs(&cpm, &lacs)?;
-            analyses += 1;
-            if first_ranking.is_empty() {
-                first_ranking = Ctx::rank_targets(&evals);
-            }
-            evals.sort_by(|a, b| {
-                a.error_after
-                    .total_cmp(&b.error_after)
-                    .then(b.saving.cmp(&a.saving))
-                    .then(a.lac.target.cmp(&b.lac.target))
-            });
-            let evals = guard.admissible(&evals);
+            let mut evals = run.ctx.evaluate_lacs(&cpm, &lacs)?;
+            run.analysed(&evals);
+            evals.sort_by(Evaluated::rank_cmp);
+            let evals = run.guard.admissible(&evals);
 
             // Validate candidates in rank order with exact cone
             // resimulation; the first sound one goes through the guard,
             // which re-measures after the (transactional) application and
             // rolls back if the estimate-validated candidate still lands
             // over budget.
-            let mut applied = false;
             let mut rollbacks = 0;
-            for cand in evals.iter().take(self.validate_limit) {
-                if let Some(reason) = gov.check(iterations.len()) {
-                    tripped = Some(reason);
+            for cand in evals.iter().take(VALIDATE_LIMIT) {
+                if run.stopped() {
                     break 'outer;
                 }
-                let span = ctx.obs().span("eval");
-                let exact = ctx.exact_error_of(&cand.lac);
-                ctx.times.eval += span.finish();
-                if exact <= cfg.error_bound {
-                    if guard.try_apply(&mut ctx, cand)?.is_none() {
-                        rollbacks += 1;
-                        continue;
+                let exact = run.ctx.exact_error_of(&cand.lac);
+                if exact > cfg.error_bound {
+                    continue;
+                }
+                match run.guard.try_apply(&mut run.ctx, cand)? {
+                    Some(records) => {
+                        run.commit(cand, exact, Phase::Comprehensive, rollbacks, &records);
+                        continue 'outer;
                     }
-                    ctx.metrics.iterations.inc();
-                    iterations.push(IterationRecord {
-                        lac: cand.lac,
-                        error_after: exact,
-                        saving: cand.saving,
-                        nodes_after: ctx.aig.num_ands(),
-                        phase: Phase::Comprehensive,
-                        rollbacks,
-                    });
-                    applied = true;
-                    break;
+                    None => rollbacks += 1,
                 }
             }
-            if !applied {
-                break 'outer;
-            }
+            break;
         }
-
-        let stop = match tripped {
-            Some(reason) => reason,
-            None => supervisor::natural_stop(iterations.len(), cfg.max_lacs),
-        };
-        ctx.metrics.note_stop(&stop, gov.elapsed());
-        Ok(FlowResult {
-            flow: self.name().to_string(),
-            final_error: guard.final_error(&ctx),
-            error_bound: cfg.error_bound,
-            iterations,
-            runtime: ctx.elapsed(),
-            step_times: ctx.times,
-            comprehensive_analyses: analyses,
-            first_ranking,
-            error_report: ctx.report(),
-            comprehensive_time: ctx.elapsed(),
-            incremental_time: std::time::Duration::ZERO,
-            guard: guard.stats(),
-            stop,
-            circuit: ctx.aig,
-        })
+        run.finish(None)
     }
 }
 
@@ -188,13 +117,5 @@ mod tests {
         let cfg = FlowConfig::new(MetricKind::Er, 0.2).with_patterns(512);
         let res = VecbeeDepthOneFlow::new(cfg).run(&aig).unwrap();
         assert!(res.step_times.cuts.is_zero());
-    }
-
-    #[test]
-    fn validation_limit_is_honoured() {
-        let aig = parity_tree();
-        let cfg = FlowConfig::new(MetricKind::Er, 0.5).with_patterns(512);
-        let res = VecbeeDepthOneFlow::new(cfg).with_validation_limit(1).run(&aig).unwrap();
-        assert!(res.final_error <= 0.5 + 1e-9);
     }
 }

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use dualphase_als::circuits::mult::mult;
 use dualphase_als::engine::faultplan::FaultPlan;
 use dualphase_als::engine::journal;
-use dualphase_als::engine::{DualPhaseFlow, EngineError, Flow, FlowConfig};
+use dualphase_als::engine::{AccAlsFlow, DualPhaseFlow, EngineError, Flow, FlowConfig, StopReason};
 use dualphase_als::error::MetricKind;
 
 fn cfg() -> FlowConfig {
@@ -57,6 +57,24 @@ fn forced_overshoot_streak_is_rolled_back_and_the_bound_holds() {
         dualphase_als::aig::io::to_ascii_string(&clean.circuit),
         "rollbacks changed the result"
     );
+}
+
+#[test]
+fn forced_overshoot_ends_an_accals_batch_not_the_run() {
+    // The very first guarded application overshoots. AccALS must evict
+    // that candidate and carry on with the next analysis instead of
+    // reporting convergence with the circuit untouched.
+    let original = mult(3, 3);
+    let plan = FaultPlan::new().force_overshoots(1);
+    let res = AccAlsFlow::new(cfg().with_faults(plan.clone())).run(&original).unwrap();
+    assert_eq!(plan.overshoots_fired(), 1, "the forced overshoot never fired");
+    assert_eq!(res.guard.rollbacks, 1);
+    assert!(res.lacs_applied() > 0, "one rollback ended the run");
+    assert!(res.final_nodes() < original.num_ands(), "no area saved");
+    assert_eq!(res.iterations[0].rollbacks, 1, "the first commit follows the rollback");
+    assert!(res.final_error <= 2.0 + 1e-9, "bound violated: {}", res.final_error);
+    assert_eq!(res.stop, StopReason::Converged);
+    dualphase_als::aig::check::check(&res.circuit).unwrap();
 }
 
 #[test]

@@ -14,7 +14,7 @@
 
 use dualphase_als::aig::Aig;
 use dualphase_als::circuits::mult::mult;
-use dualphase_als::engine::{ConventionalFlow, DualPhaseFlow, Flow, FlowConfig};
+use dualphase_als::engine::{AccAlsFlow, ConventionalFlow, DualPhaseFlow, Flow, FlowConfig};
 use dualphase_als::error::MetricKind;
 
 /// Exact MED of `approx` against `original` over the full input space.
@@ -75,6 +75,31 @@ fn strict_guard_holds_the_budget_under_adversarial_sampling() {
     // Rollback counts surface in the per-iteration records.
     let recorded: usize = res.iterations.iter().map(|it| it.rollbacks).sum();
     assert!(recorded <= res.guard.rollbacks);
+}
+
+#[test]
+fn strict_accals_keeps_going_after_a_rollback() {
+    // Under the adversarial sample the strict guard rolls back AccALS
+    // candidates too. A rollback ends one batch; the next analysis runs
+    // without the evicted candidate, so later commits still land.
+    let original = mult(4, 4);
+    let bound = 1.0;
+    let res = AccAlsFlow::new(adversarial_cfg(bound).with_strict()).run(&original).unwrap();
+    assert!(res.guard.rollbacks >= 1, "no overshoot was ever caught");
+    assert!(
+        res.iterations.iter().any(|it| it.rollbacks > 0),
+        "no LAC committed after a rollback: {} LACs, {} rollbacks",
+        res.lacs_applied(),
+        res.guard.rollbacks
+    );
+    let recorded: usize = res.iterations.iter().map(|it| it.rollbacks).sum();
+    assert!(recorded <= res.guard.rollbacks);
+    assert!(res.final_error <= bound + 1e-9, "reported error {}", res.final_error);
+    assert!(
+        true_error(&original, &res.circuit) <= bound + 1e-9,
+        "true error escaped the budget despite strict validation"
+    );
+    dualphase_als::aig::check::check(&res.circuit).unwrap();
 }
 
 // Corruption is injected through the fault plan, which is compiled in only

@@ -89,37 +89,54 @@ fn enabled_runs_are_byte_identical_to_disabled_runs() {
 
 #[test]
 fn jsonl_span_totals_reproduce_step_times_exactly() {
-    let trace = tmp("totals.jsonl");
-    let obs =
-        Obs::new(ObsConfig { trace: Some(trace.clone()), metrics: None, tree: false }).unwrap();
-    let res = run_dpsa(cfg(1).with_obs(obs.clone()));
-    obs.finish().unwrap();
+    for name in FLOW_NAMES {
+        let trace = tmp(&format!("totals-{name}.jsonl"));
+        let obs =
+            Obs::new(ObsConfig { trace: Some(trace.clone()), metrics: None, tree: false }).unwrap();
+        let res =
+            flows::by_name(*name, cfg(1).with_obs(obs.clone())).unwrap().run(&adder()).unwrap();
+        obs.finish().unwrap();
 
-    let text = std::fs::read_to_string(&trace).unwrap();
-    let mut totals = std::collections::BTreeMap::new();
-    for line in text.lines() {
-        let name = json_str(line, "name").expect("span event without a name");
-        let dur = json_u64(line, "dur_ns").expect("span event without dur_ns");
-        *totals.entry(name.to_string()).or_insert(0u64) += dur;
-    }
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let mut totals = std::collections::BTreeMap::new();
+        for line in text.lines() {
+            let span = json_str(line, "name").expect("span event without a name");
+            let dur = json_u64(line, "dur_ns").expect("span event without dur_ns");
+            *totals.entry(span.to_string()).or_insert(0u64) += dur;
+            // Every cut span says what it did: a full computation (its
+            // input size), an incremental update (|S_v|) or a spot check.
+            if span == "cuts" {
+                assert!(
+                    ["nodes", "s_v", "spot_check"].iter().any(|k| json_u64(line, k).is_some()),
+                    "{name}: cuts span without a count: {line}"
+                );
+            }
+        }
 
-    // One source of truth: StepTimes is accumulated from the same
-    // Span::finish durations the trace records, so the sums are *equal*,
-    // not merely close.
-    let t = &res.step_times;
-    for (span_name, step_total) in
-        [("cuts", t.cuts), ("cpm", t.cpm), ("eval", t.eval), ("apply", t.apply)]
-    {
-        assert_eq!(
-            totals.get(span_name).copied().unwrap_or(0),
-            step_total.as_nanos() as u64,
-            "span {span_name:?} diverged from StepTimes"
-        );
+        // One source of truth: StepTimes is accumulated from the same
+        // Span::finish durations the trace records, so the sums are
+        // *equal*, not merely close. Step 3 is evaluation plus candidate
+        // generation.
+        let total = |span: &str| totals.get(span).copied().unwrap_or(0);
+        let t = &res.step_times;
+        for (step, spans, step_total) in [
+            ("cuts", &["cuts"][..], t.cuts),
+            ("cpm", &["cpm"][..], t.cpm),
+            ("eval", &["eval", "generate"][..], t.eval),
+            ("apply", &["apply"][..], t.apply),
+        ] {
+            assert_eq!(
+                spans.iter().map(|s| total(s)).sum::<u64>(),
+                step_total.as_nanos() as u64,
+                "{name}: spans {spans:?} diverged from StepTimes::{step}"
+            );
+        }
+        // The hierarchy is present: a single flow root enclosing iterations.
+        assert_eq!(totals.get("flow").map(|_| 1), Some(1), "{name}");
+        assert!(totals.contains_key("iteration"), "{name}");
+        assert!(totals.contains_key("phase1"), "{name}");
+        assert!(totals.contains_key("generate"), "{name}: no generate span");
     }
-    // The hierarchy is present: a single flow root enclosing iterations.
-    assert_eq!(totals.get("flow").map(|_| 1), Some(1));
-    assert!(totals.contains_key("iteration"));
-    assert!(totals.contains_key("phase1"));
 }
 
 #[test]
