@@ -3,6 +3,7 @@
 use std::collections::HashSet;
 
 use als_aig::{Aig, NodeId};
+use als_cuts::CutState;
 
 use crate::config::FlowConfig;
 use crate::context::Evaluated;
@@ -24,8 +25,10 @@ const DEVIATION_TOLERANCE: f64 = 0.25;
 /// When validation shows a large deviation between the stale estimate and
 /// the exact error, the batch stops early — in the worst case one LAC per
 /// analysis is applied, which is the SEALS-like degeneration the paper
-/// observes under the MED metric. A guard rollback also ends the batch;
-/// the next analysis runs without the evicted candidate.
+/// observes under the MED metric. A guard rollback also ends the batch. It
+/// restores the analysed circuit, so the next batch comes from the same
+/// evaluations without the evicted candidate; only a commit starts a new
+/// analysis.
 #[derive(Clone, Debug)]
 pub struct AccAlsFlow {
     cfg: FlowConfig,
@@ -64,76 +67,88 @@ impl Flow for AccAlsFlow {
             let mut evals = run.ctx.evaluate_lacs(&cpm, &lacs)?;
             run.analysed(&evals);
             evals.retain(|e| e.error_after <= bound);
-            evals = run.guard.admissible(&evals);
             evals.sort_by(Evaluated::rank_cmp);
-            if evals.is_empty() {
-                break;
-            }
 
-            // Greedy multi-selection of non-interfering targets.
-            let mut chosen: Vec<_> = Vec::new();
-            let mut blocked_outputs = als_sim::PackedBits::zeros(cuts.reach().mask_words());
-            let mut used_targets: HashSet<NodeId> = HashSet::new();
-            for e in &evals {
-                if chosen.len() >= cfg.multi_k {
-                    break;
-                }
-                if used_targets.contains(&e.lac.target) {
-                    continue;
-                }
-                let mask = cuts.reach().mask(e.lac.target);
-                let interferes =
-                    mask.words().iter().zip(blocked_outputs.words()).any(|(a, b)| a & b != 0);
-                if chosen.is_empty() || !interferes {
-                    blocked_outputs.or_assign(mask);
-                    used_targets.insert(e.lac.target);
-                    chosen.push(e.clone());
-                }
-            }
-
-            // Apply the batch with exact revalidation. A commit or an
-            // eviction changes what the next analysis offers.
-            let mut progressed = false;
-            for (i, e) in chosen.iter().enumerate() {
-                if run.stopped() {
+            // Batches from these evaluations until one commits. A rollback
+            // restores the analysed circuit, so the next batch is chosen
+            // from the same evaluations without the evicted candidate.
+            loop {
+                let admissible = run.guard.admissible(&evals);
+                if admissible.is_empty() {
                     break 'analysis;
                 }
-                if !run.ctx.aig.is_live(e.lac.target) || !run.ctx.aig.node(e.lac.target).is_and() {
-                    continue;
-                }
-                if let als_lac::LacKind::Substitute { sub } = e.lac.kind {
-                    if !run.ctx.aig.is_live(sub.node()) {
+                let chosen = choose_batch(&admissible, &cuts, cfg.multi_k);
+                let (mut committed, mut progressed) = (false, false);
+                for (i, e) in chosen.iter().enumerate() {
+                    if run.stopped() {
+                        break 'analysis;
+                    }
+                    if !run.ctx.aig.is_live(e.lac.target)
+                        || !run.ctx.aig.node(e.lac.target).is_and()
+                    {
                         continue;
                     }
+                    if let als_lac::LacKind::Substitute { sub } = e.lac.kind {
+                        if !run.ctx.aig.is_live(sub.node()) {
+                            continue;
+                        }
+                    }
+                    let exact = run.ctx.exact_error_of(&e.lac);
+                    if exact > bound {
+                        break; // stale estimate no longer sound — stop the batch
+                    }
+                    // Large estimate deviation: degrade to single-LAC behaviour.
+                    let scale = bound.max(f64::MIN_POSITIVE);
+                    let deviation = (exact - e.error_after).abs() / scale;
+                    if i > 0 && deviation > DEVIATION_TOLERANCE {
+                        break;
+                    }
+                    let Some(records) = run.guard.try_apply(&mut run.ctx, e)? else {
+                        // The guard measured an overshoot and evicted the
+                        // candidate: stop the batch, not the run.
+                        rollbacks += 1;
+                        progressed = true;
+                        break;
+                    };
+                    let phase = if i == 0 { Phase::Comprehensive } else { Phase::Incremental };
+                    run.commit(e, exact, phase, rollbacks, &records);
+                    rollbacks = 0;
+                    (committed, progressed) = (true, true);
                 }
-                let exact = run.ctx.exact_error_of(&e.lac);
-                if exact > bound {
-                    break; // stale estimate no longer sound — stop the batch
+                if !progressed || rollbacks > cfg.guard.max_retries {
+                    break 'analysis;
                 }
-                // Large estimate deviation: degrade to single-LAC behaviour.
-                let scale = bound.max(f64::MIN_POSITIVE);
-                let deviation = (exact - e.error_after).abs() / scale;
-                if i > 0 && deviation > DEVIATION_TOLERANCE {
-                    break;
+                if committed {
+                    continue 'analysis;
                 }
-                let Some(records) = run.guard.try_apply(&mut run.ctx, e)? else {
-                    // The guard measured an overshoot and evicted the
-                    // candidate: stop the batch, not the run.
-                    rollbacks += 1;
-                    progressed = true;
-                    break;
-                };
-                let phase = if i == 0 { Phase::Comprehensive } else { Phase::Incremental };
-                run.commit(e, exact, phase, rollbacks, &records);
-                rollbacks = 0;
-                progressed = true;
-            }
-            if !progressed || rollbacks > cfg.guard.max_retries {
-                break;
             }
         }
         run.finish(None)
     }
+}
+
+/// Greedy multi-selection: up to `k` candidates in rank order whose
+/// targets' reachable-output sets do not overlap an already-chosen one's.
+fn choose_batch(evals: &[Evaluated], cuts: &CutState, k: usize) -> Vec<Evaluated> {
+    let mut chosen: Vec<Evaluated> = Vec::new();
+    let mut blocked_outputs = als_sim::PackedBits::zeros(cuts.reach().mask_words());
+    let mut used_targets: HashSet<NodeId> = HashSet::new();
+    for e in evals {
+        if chosen.len() >= k {
+            break;
+        }
+        if used_targets.contains(&e.lac.target) {
+            continue;
+        }
+        let mask = cuts.reach().mask(e.lac.target);
+        let interferes = mask.words().iter().zip(blocked_outputs.words()).any(|(a, b)| a & b != 0);
+        if chosen.is_empty() || !interferes {
+            blocked_outputs.or_assign(mask);
+            used_targets.insert(e.lac.target);
+            chosen.push(e.clone());
+        }
+    }
+    chosen
 }
 
 #[cfg(test)]

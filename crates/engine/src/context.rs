@@ -9,7 +9,7 @@ use als_aig::{Aig, EditRecord, NodeId};
 use als_cpm::{Cpm, FlipSim, RowView};
 use als_cuts::CutState;
 use als_error::{unsigned_weights, ErrorState, FlipVec, RowDeltas, SparseFlip};
-use als_lac::{CandidateConfig, Lac};
+use als_lac::{CandidateConfig, Lac, SimilarityIndex};
 use als_obs::{Counter, Histogram, Obs};
 use als_par::{SchedConfig, WorkerPool};
 use als_sim::{PackedBits, PatternSet, Simulator};
@@ -59,6 +59,8 @@ pub struct EngineMetrics {
     pub cpm_rows_built: Counter,
     /// Rows a partial CPM avoided rebuilding (live nodes minus closure).
     pub cpm_rows_reused: Counter,
+    /// Target–source distances computed for SASIMI candidates.
+    pub sasimi_pairs: Counter,
     /// Journal append latency (checkpoints and commits), microseconds.
     pub journal_append_us: Histogram,
     /// Applied LACs (committed iterations).
@@ -105,6 +107,10 @@ impl EngineMetrics {
             cpm_rows_reused: obs.counter(
                 "als_cpm_rows_reused_total",
                 "rows a partial CPM avoided rebuilding (live nodes minus closure)",
+            ),
+            sasimi_pairs: obs.counter(
+                "als_sasimi_pairs_total",
+                "target-source distances computed for SASIMI candidates",
             ),
             journal_append_us: obs
                 .histogram("als_journal_append_us", "journal append latency (us)"),
@@ -182,6 +188,9 @@ pub struct Ctx {
     pool: WorkerPool,
     /// Reusable output-value buffers for error-state refreshes.
     outs: Vec<PackedBits>,
+    /// Distances between node values behind SASIMI generation, kept
+    /// across the run's generation calls (allocated by the first).
+    similarity: SimilarityIndex,
     /// Fold constants after each applied LAC.
     fold_constants: bool,
     #[cfg(feature = "fault-inject")]
@@ -231,6 +240,7 @@ impl Ctx {
             obs: cfg.obs.clone(),
             pool,
             outs: Vec::new(),
+            similarity: SimilarityIndex::default(),
             fold_constants: cfg.fold_constants,
             #[cfg(feature = "fault-inject")]
             faults: cfg.faults.clone(),
@@ -374,16 +384,24 @@ impl Ctx {
         cpm
     }
 
-    /// The candidate LACs of step 3 at `targets` (every gate when `None`).
-    /// Generation has its own `generate` span, but its time still counts
-    /// as step 3 in [`StepTimes::eval`].
+    /// The candidate LACs of step 3 at `targets` (every gate when `None`),
+    /// with substitutions from the run's similarity index. Generation has
+    /// its own `generate` span, which counts the SASIMI `targets` and the
+    /// distance `pairs` computed, but its time still counts as step 3 in
+    /// [`StepTimes::eval`].
     pub(crate) fn generate(
         &mut self,
         lac: &CandidateConfig,
         targets: Option<&[NodeId]>,
     ) -> Vec<Lac> {
-        let span = self.obs.span("generate");
-        let lacs = als_lac::generate(&self.aig, &self.sim, lac, targets);
+        let mut span = self.obs.span("generate");
+        let lacs = self.similarity.generate(&self.aig, &self.sim, lac, targets);
+        if lac.substitutions {
+            let work = self.similarity.last_work();
+            span.count("targets", work.targets);
+            span.count("pairs", work.pairs);
+            self.metrics.sasimi_pairs.add(work.pairs);
+        }
         self.times.eval += span.finish();
         lacs
     }

@@ -12,13 +12,14 @@
 //! gain; the error cost is what the CPM-based analyses estimate.
 //!
 //! * [`lac`] — the LAC type, its change vector and application,
-//! * [`candgen`] — candidate enumeration with similarity search,
+//! * [`candgen`] — candidate enumeration: the similarity index and
+//!   selection of SASIMI substitutions,
 //! * [`gain`] — area-saving computation.
 
 pub mod candgen;
 pub mod gain;
 pub mod lac;
 
-pub use candgen::{constant_lacs, generate, sasimi_lacs, CandidateConfig};
+pub use candgen::{constant_lacs, generate, CandidateConfig, SasimiWork, SimilarityIndex};
 pub use gain::area_saving;
 pub use lac::{Lac, LacKind};

@@ -147,12 +147,6 @@ impl PackedBits {
         BitsRef::with_window(&self.words, 0, self.words.len())
     }
 
-    /// Number of positions at which `self` and `other` differ.
-    pub fn hamming_distance(&self, other: &PackedBits) -> usize {
-        assert_eq!(self.words.len(), other.words.len());
-        self.words.iter().zip(&other.words).map(|(a, b)| (a ^ b).count_ones() as usize).sum()
-    }
-
     /// Iterates over the indices of set bits.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -331,10 +325,8 @@ mod tests {
     }
 
     #[test]
-    fn hamming_and_iter() {
+    fn iter_ones_lists_set_bits() {
         let a = PackedBits::from_words(vec![0b101, 0b1]);
-        let b = PackedBits::from_words(vec![0b011, 0b0]);
-        assert_eq!(a.hamming_distance(&b), 3);
         let ones: Vec<usize> = a.iter_ones().collect();
         assert_eq!(ones, vec![0, 2, 64]);
     }

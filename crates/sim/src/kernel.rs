@@ -72,6 +72,20 @@ pub fn not_assign(dst: &mut [u64]) {
     }
 }
 
+/// Number of patterns, among the first `num_bits`, on which `a` and `b`
+/// differ: the Hamming distance with the tail lanes of the last word
+/// masked, so garbage there never counts. The distance kernel of SASIMI
+/// candidate search.
+#[inline]
+pub fn masked_distance(a: &[u64], b: &[u64], num_bits: usize) -> usize {
+    assert_eq!(a.len(), b.len());
+    let (Some((&la, body_a)), Some((&lb, body_b))) = (a.split_last(), b.split_last()) else {
+        return 0;
+    };
+    let body: u32 = body_a.iter().zip(body_b).map(|(x, y)| (x ^ y).count_ones()).sum();
+    (body + ((la ^ lb) & tail_mask(num_bits)).count_ones()) as usize
+}
+
 /// `dst[i] = (a[i] ^ m0) & (b[i] ^ m1)`: the AIG simulation kernel, one
 /// AND node over two fanins whose edge complements are whole-word XOR
 /// masks (0 or !0).

@@ -14,7 +14,10 @@
 
 use dualphase_als::aig::Aig;
 use dualphase_als::circuits::mult::mult;
-use dualphase_als::engine::{AccAlsFlow, ConventionalFlow, DualPhaseFlow, Flow, FlowConfig};
+use dualphase_als::circuits::{benchmark, BenchmarkScale};
+use dualphase_als::engine::{
+    journal, AccAlsFlow, ConventionalFlow, DualPhaseFlow, Flow, FlowConfig, Phase,
+};
 use dualphase_als::error::MetricKind;
 
 /// Exact MED of `approx` against `original` over the full input space.
@@ -100,6 +103,32 @@ fn strict_accals_keeps_going_after_a_rollback() {
         "true error escaped the budget despite strict validation"
     );
     dualphase_als::aig::check::check(&res.circuit).unwrap();
+}
+
+#[test]
+fn strict_accals_reanalyses_only_after_a_commit() {
+    // A rollback restores the analysed circuit exactly, so a new analysis
+    // would only repeat the evaluations without the evicted candidate.
+    // AccALS retries selection on them instead: every analysis after the
+    // first follows a commit, and the result is the one that re-analysing
+    // gave (pinned: circuit fingerprint, LAC count, final error bits).
+    let original = benchmark("sm9x8", BenchmarkScale::Reduced);
+    let cfg = FlowConfig::new(MetricKind::Med, 4.0).with_patterns(64).with_seed(1).with_strict();
+    let res = AccAlsFlow::new(cfg).run(&original).unwrap();
+    assert_eq!(
+        (journal::circuit_fingerprint(&res.circuit), res.lacs_applied(), res.final_error.to_bits()),
+        (0x39bd_2558_ec74_e275, 4, 3.625f64.to_bits()),
+        "output moved"
+    );
+    assert!(res.guard.rollbacks >= 1, "no overshoot was ever caught");
+    // A committing analysis starts its batch with a comprehensive record.
+    let batches = res.iterations.iter().filter(|it| it.phase == Phase::Comprehensive).count();
+    assert!(
+        res.comprehensive_analyses <= batches + 1,
+        "{} analyses for {batches} committing batches ({} rollbacks)",
+        res.comprehensive_analyses,
+        res.guard.rollbacks
+    );
 }
 
 // Corruption is injected through the fault plan, which is compiled in only

@@ -111,6 +111,14 @@ fn jsonl_span_totals_reproduce_step_times_exactly() {
                     "{name}: cuts span without a count: {line}"
                 );
             }
+            // SASIMI generation counts its targets and the distances it
+            // computed (the run draws substitution LACs).
+            if span == "generate" {
+                assert!(
+                    ["targets", "pairs"].iter().all(|k| json_u64(line, k).is_some()),
+                    "{name}: generate span without its work counts: {line}"
+                );
+            }
         }
 
         // One source of truth: StepTimes is accumulated from the same
@@ -155,6 +163,7 @@ fn prometheus_export_passes_lint_and_covers_the_engine() {
         "als_cut_recomputations_total",
         "als_cpm_rows_built_total",
         "als_cpc_violations_total",
+        "als_sasimi_pairs_total",
         "als_guard_validations_total",
         "als_pool_regions_total",
         "als_s_cand_size",

@@ -12,7 +12,9 @@
 //! * the per-target table evaluation predicts the *measured* error of
 //!   every applied LAC, constants and SASIMI substitutions alike —
 //!   garbage tails in `D` or in the CPM rows must not leak into the
-//!   estimate.
+//!   estimate,
+//! * the masked distance kernel behind SASIMI candidate search counts
+//!   exactly the per-bit disagreements below the logical count.
 
 use proptest::prelude::*;
 
@@ -20,6 +22,7 @@ use dualphase_als::aig::{Aig, Lit, NodeId};
 use dualphase_als::cuts::CutState;
 use dualphase_als::error::{unsigned_weights, ErrorState, MetricKind, RowDeltas, SparseFlip};
 use dualphase_als::lac::{generate, CandidateConfig, Lac};
+use dualphase_als::sim::kernel::masked_distance;
 use dualphase_als::sim::{PackedBits, PatternSet, Simulator};
 
 /// Operation encoding for random circuit construction (mirrors props.rs).
@@ -106,6 +109,26 @@ fn per_bit_reference(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn masked_distance_matches_per_bit_reference_at_odd_pattern_counts(
+        a in proptest::collection::vec(any::<u64>(), 1..5),
+        b_seed in any::<u64>(),
+        off in 0usize..64,
+    ) {
+        // `b` is `a` with a few words replaced, so both near and far pairs
+        // occur; the lanes at and above `n` hold whatever the words held.
+        let b: Vec<u64> = a
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| if (b_seed >> i) & 1 == 1 { w ^ b_seed.rotate_left(i as u32) } else { w })
+            .collect();
+        let n = a.len() * 64 - off;
+        let bit = |v: &[u64], p: usize| v[p / 64] >> (p % 64) & 1;
+        let want = (0..n).filter(|&p| bit(&a, p) != bit(&b, p)).count();
+        prop_assert_eq!(masked_distance(&a, &b, n), want);
+        prop_assert_eq!(masked_distance(&b, &a, n), want);
+    }
 
     #[test]
     fn metrics_match_per_bit_reference_at_odd_pattern_counts(
